@@ -100,6 +100,8 @@ class PerfCounters:
     native_cache_hits: int = 0
     native_cache_misses: int = 0
     native_fallbacks: int = 0
+    #: (domain, loop) -> why the native tier declined that site (last reason)
+    native_declines: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def loop(self, name: str) -> LoopRecord:
         """Return (creating if needed) the record for loop ``name``."""
@@ -185,9 +187,10 @@ class PerfCounters:
     def record_native_cache_miss(self) -> None:
         self.native_cache_misses += 1
 
-    def record_native_fallback(self) -> None:
+    def record_native_fallback(self, domain: str, loop: str, reason: str) -> None:
         """Account one loop declined by the native tier (ran on vec instead)."""
         self.native_fallbacks += 1
+        self.native_declines[(domain, loop)] = reason
 
     @property
     def chain_hit_rate(self) -> float:
@@ -240,6 +243,7 @@ class PerfCounters:
         self.native_cache_hits += other.native_cache_hits
         self.native_cache_misses += other.native_cache_misses
         self.native_fallbacks += other.native_fallbacks
+        self.native_declines.update(other.native_declines)
 
     def reset(self) -> None:
         self.loops.clear()
@@ -272,6 +276,7 @@ class PerfCounters:
         self.native_cache_hits = 0
         self.native_cache_misses = 0
         self.native_fallbacks = 0
+        self.native_declines.clear()
 
     def summary_rows(self) -> list[tuple[str, int, int, int, float]]:
         """Rows of (loop, iterations, bytes, flops, seconds), insertion order."""

@@ -94,6 +94,10 @@ def timing_report(counters: PerfCounters, *, top: int | None = None) -> str:
             f"{counters.native_compiles} cc runs, "
             f"{counters.native_fallbacks} fallbacks"
         )
+        # keys are (domain, loop); rows sort by loop name, then domain
+        declines = sorted(counters.native_declines.items(), key=lambda kv: kv[0][::-1])
+        for (domain, loop), reason in declines:
+            lines.append(f"  declined {domain}:{loop}: {reason}")
     # deferred import: repro.telemetry depends on repro.common, not vice versa
     from repro import telemetry
 

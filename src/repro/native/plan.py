@@ -45,8 +45,8 @@ __all__ = ["NativeOpsLoop", "NativeOp2Loop", "try_compile_ops", "try_compile_op2
 
 
 def _fallback(domain: str, loop_name: str, reason: str) -> None:
-    """Account one declined loop: counter tick + a single telemetry instant."""
-    active_counters().record_native_fallback()
+    """Account one declined loop: counter tick, reason, one telemetry instant."""
+    active_counters().record_native_fallback(domain, loop_name, reason)
     trc = _trace.ACTIVE
     if trc is not None:
         trc.instant("native.fallback", "native", domain=domain, loop=loop_name, reason=reason)
@@ -113,17 +113,60 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 # -- ops ----------------------------------------------------------------------
 
 class NativeOpsLoop:
-    """A compiled structured loop bound to its storage addresses."""
+    """A compiled structured loop bound to its storage addresses.
 
-    __slots__ = ("call", "red_info", "red_arr", "_keepalive")
+    Admitted once for ``ranges`` (the loop's full range: every proof in
+    :func:`_build_ops` is over it), then executable over any sub-range of
+    it: the generated C reads base pointers and extents from ``ptrs`` /
+    ``narr`` on every call, so :meth:`execute` retargets those two buffers
+    in place — their addresses, which ``call`` has bound, never change.
+    """
 
-    def __init__(self, call, red_info, red_arr, keepalive):
+    __slots__ = (
+        "call", "red_info", "red_arr", "ranges", "ptrs", "narr",
+        "_layout", "_sub", "_keepalive",
+    )
+
+    def __init__(self, call, red_info, red_arr, ranges, ptrs, narr, layout, keepalive):
         self.call = call
         self.red_info = red_info  # [(slot, kind, arg_index), ...]
         self.red_arr = red_arr
+        self.ranges = ranges
+        self.ptrs = ptrs
+        self.narr = narr
+        #: (byte strides, [(pointer slot, address of the full range's
+        #: origin), ...]) per distinct storage layout: dats of one shape
+        #: share the offset a sub-range adds
+        self._layout = layout
+        #: True while ptrs/narr describe a sub-range rather than ``ranges``
+        self._sub = False
         self._keepalive = keepalive
 
-    def execute(self, args) -> None:
+    def _bind(self, ranges) -> None:
+        shift = [lo - full[0] for (lo, _), full in zip(ranges, self.ranges)]
+        ptrs = self.ptrs
+        for strides, slots in self._layout:
+            off = 0
+            for d, s in zip(shift, strides):
+                off += d * s
+            for i, origin in slots:
+                ptrs[i] = origin + off
+        self.narr[:] = [hi - lo for lo, hi in ranges]
+
+    def execute(self, args, ranges=None) -> None:
+        """Run the kernel over ``ranges`` (default: the full admitted range).
+
+        A sub-range must lie inside ``self.ranges`` — the storage-bounds
+        proof covers nothing else and the C performs no checks; the owning
+        :class:`~repro.ops.execplan.CompiledOpsLoop` verifies containment
+        before calling.
+        """
+        if ranges is not None:
+            self._bind(ranges)
+            self._sub = True
+        elif self._sub:
+            self._bind(self.ranges)
+            self._sub = False
         red = self.red_arr
         info = self.red_info
         for j, kind, _k in info:
@@ -223,16 +266,19 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
 
     # runtime binding: base pointers pre-offset to the range origin,
     # outer strides in elements, extents per dimension
-    ptr_vals = []
+    origins = []
+    by_strides: dict[tuple, list] = {}
     strides: list[int] = []
-    for _, k in code.ptr_spec:
+    for i, (_, k) in enumerate(code.ptr_spec):
         dat = dat_of[k]
         st = dat._storage
-        el = [s // st.itemsize for s in st.strides]
-        off = sum((ranges[d][0] + dat.halo_depth) * el[d] for d in range(ndim))
-        ptr_vals.append(st.ctypes.data + 8 * off)
-        strides.extend(el[:-1])
-    ptrs = np.asarray(ptr_vals, dtype=np.uint64) if ptr_vals else np.empty(0, np.uint64)
+        origin = st.ctypes.data + sum(
+            (ranges[d][0] + dat.halo_depth) * st.strides[d] for d in range(ndim)
+        )
+        origins.append(origin)
+        by_strides.setdefault(st.strides, []).append((i, origin))
+        strides.extend(s // st.itemsize for s in st.strides[:-1])
+    ptrs = np.asarray(origins, dtype=np.uint64)
     sarr = np.asarray(strides, dtype=np.int64) if strides else _EMPTY_I64
     marr = np.asarray([_addr(sarr)], dtype=np.uint64)
     narr = np.asarray([hi - lo for lo, hi in ranges], dtype=np.int64)
@@ -244,8 +290,11 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     kern = _load(code.source, loop_name)
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
     red_info = [(j, kind, k) for j, (_, k, kind) in enumerate(code.red_spec)]
-    keepalive = (kern, ptrs, sarr, marr, narr, cv_arr, args)
-    return NativeOpsLoop(call, red_info, red_arr, keepalive)
+    keepalive = (kern, sarr, marr, cv_arr, args)
+    return NativeOpsLoop(
+        call, red_info, red_arr, tuple(ranges), ptrs, narr,
+        list(by_strides.items()), keepalive,
+    )
 
 
 # -- op2 ----------------------------------------------------------------------

@@ -441,14 +441,20 @@ def lookup(
         counters.record_plan_miss()
         if trc is not None:
             trc.instant("plan_miss", "plan", kernel=kernel.name, backend=backend, n=n)
-        limit = get_config().execplan_cache_size
-        while len(_registry) > limit:
-            _, evicted = _registry.popitem(last=False)
-            _stats["evictions"] += 1
-            counters.record_plan_eviction()
-            if trc is not None:
-                trc.instant("plan_eviction", "plan", kernel=evicted.kernel.name)
+        _evict_to(get_config().execplan_cache_size)
     return compiled
+
+
+def _evict_to(limit: int) -> None:
+    """Drop least-recently-used plans down to ``limit``; caller holds ``_lock``."""
+    counters = active_counters()
+    trc = _trace.ACTIVE
+    while len(_registry) > limit:
+        _, evicted = _registry.popitem(last=False)
+        _stats["evictions"] += 1
+        counters.record_plan_eviction()
+        if trc is not None:
+            trc.instant("plan_eviction", "plan", kernel=evicted.kernel.name)
 
 
 def clear_plan_cache() -> None:
@@ -474,9 +480,7 @@ def set_plan_cache_capacity(limit: int) -> None:
 
     configure(execplan_cache_size=limit)
     with _lock:
-        while len(_registry) > limit:
-            _registry.popitem(last=False)
-            _stats["evictions"] += 1
+        _evict_to(limit)
 
 
 def plan_cache_stats() -> dict[str, int]:

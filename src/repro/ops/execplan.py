@@ -9,12 +9,21 @@ first execution and replayed afterwards.
 A :class:`CompiledOpsLoop` holds:
 
 * the validated argument list and the prebuilt loop event,
-* one :class:`FastAccessor` per dat argument (per tile on the ``tiled``
+* the native tier's compiled kernel when admission succeeds, otherwise one
+  :class:`FastAccessor` per dat argument (per tile on the ``tiled``
   backend): the shifted storage views for every declared stencil offset,
   computed once — the interpreted :class:`~repro.ops.accessor.RangeAccessor`
   re-slices on every ``u[off]`` of every invocation,
 * the tile list for ``tiled`` sweeps,
 * the loop's exact traffic/flop accounting as precomputed constants.
+
+A plan is *range-parametric*: it is built, validated and admitted once for
+the loop's full ranges, and ``execute(args, ranges)`` replays it over any
+sub-range of them.  That is how :mod:`repro.ops.lazy` drives cross-loop
+tiles — one plan per queued loop, the tile bounds a run-time argument —
+and how the ``tiled`` backend sweeps its own tiles through one native
+object.  The native storage-bounds proof over the full range covers every
+sub-range; ``execute`` checks the containment rather than trusting it.
 
 Reduction handles are *slots*, not captures: apps routinely build a fresh
 :class:`~repro.ops.reduction.Reduction` per invocation, so plans key on the
@@ -35,7 +44,8 @@ from collections import OrderedDict
 from typing import Callable, Sequence
 
 from repro.common.config import get_config
-from repro.common.counters import LoopRecord, PerfCounters, Timer
+from repro.common.counters import PerfCounters, Timer
+from repro.common.errors import APIError
 from repro.common.profiling import (
     LoopEvent,
     active_counters,
@@ -145,52 +155,56 @@ class CompiledOpsLoop:
             if not any(d is a.dat for d in self.written_dats):
                 self.written_dats.append(a.dat)
 
-        # (c) tile decomposition and per-tile cached-view accessors
-        if backend == "tiled":
-            tile_list = tiled_ranges(ranges, tile_shape)
-            self.tiles = len(tile_list)
-        else:
-            tile_list = [ranges]
-            self.tiles = 1
-        self.tile_accessors: list[list] = []
-        for tile in tile_list:
-            accs: list = []
-            for a in args:
-                if isinstance(a, Reduction):
-                    accs.append(None)  # slot rebound with the caller's handle
-                else:
-                    accs.append(FastAccessor(a.dat, tile, tuple(a.stencil.points)))
-            self.tile_accessors.append(accs)
+        # (c) tile decomposition: ``tiled`` sweeps its own sub-ranges
+        self.ranges = tuple(ranges)
+        self.tile_list = tiled_ranges(ranges, tile_shape) if backend == "tiled" else None
+        self.tiles = len(self.tile_list) if self.tile_list is not None else 1
 
         # (d) accounting constants: the interpreted path's exact counter
-        # arithmetic, run once against a scratch register
+        # arithmetic, run once against a scratch register.  Every traffic
+        # term is linear in the point count, so a sub-range scales the
+        # per-point quotients (flops, bytes read, bytes written, indirect
+        # reads) by its own count
         scratch = PerfCounters()
         _parloop._account(loop_name, ranges, args, scratch, flops_per_point, self.tiles)
-        self.acct: LoopRecord = scratch.loops[loop_name]
+        acct = self.acct = scratch.loops[loop_name]
+        n = acct.iterations
+        self.per_point = tuple(
+            v // n if n else 0
+            for v in (acct.flops, acct.bytes_read, acct.bytes_written, acct.indirect_reads)
+        )
 
-        # guards: the cached views alias each dat's storage array, so the
-        # plan is only valid while every ``dat.data`` is the same ndarray
+        # guards: cached views and baked native addresses alias each dat's
+        # storage array, so the plan is only valid while every ``dat.data``
+        # is the same ndarray
         guards: dict[int, tuple] = {}
         for a in args:
             if not isinstance(a, Reduction):
                 guards[a.dat.token] = (a.dat, a.dat.data)
         self._guards = list(guards.values())
 
-        # (e) native tier: one compiled C kernel per tile, admission-gated.
-        # The identity guards above already pin every baked storage address,
-        # so a native plan needs no extra invalidation machinery here.
+        # (e) native tier: one compiled C kernel, admitted for the full
+        # range and retargeted per sub-range.  The identity guards above
+        # already pin every baked storage address, so a native plan needs
+        # no extra invalidation machinery here.
         from repro.native import plan as _native  # deferred: optional tier
 
-        natives: list | None = []
-        for tile in tile_list:
-            nat = _native.try_compile_ops(kernel, tile, args, loop_name)
-            if nat is None:
-                natives = None
-                break
-            natives.append(nat)
-        self.natives = natives
-        if natives:
+        self.native = _native.try_compile_ops(kernel, ranges, args, loop_name)
+        self.tile_accessors: list[list] = []
+        if self.native is not None:
             self.trace_attrs["native"] = True
+        else:
+            # (f) vec fallback: cached-view accessors, per tile on ``tiled``
+            for tile in self.tile_list or [ranges]:
+                self.tile_accessors.append(self._accessors(tile))
+
+    def _accessors(self, ranges) -> list:
+        """Cached-view accessors over ``ranges``; reduction slots stay open."""
+        return [
+            None if isinstance(a, Reduction)
+            else FastAccessor(a.dat, ranges, tuple(a.stencil.points))
+            for a in self.args
+        ]
 
     def still_valid(self) -> bool:
         """True while every dat still owns the storage the views were cut from."""
@@ -199,44 +213,91 @@ class CompiledOpsLoop:
                 return False
         return True
 
-    def execute(self, args: Sequence) -> None:
-        """Replay the plan with this call's reduction handles bound in."""
-        if observers_active():
-            event = self.event
-            for i in self.red_slots:
-                red = args[i]
-                ev = event.args[i]
-                ev.name = red.name
-                ev.data_ref = red
-            event.skip = False
-            notify_loop(event)
-            if event.skip:
-                # recovery fast-forward: same contract as the interpreted path
-                for dat in self.written_dats:
-                    dat.halo_dirty = True
-                return
+    def _contained_points(self, ranges) -> int:
+        """Point count of ``ranges``, which must lie inside the plan's own."""
+        full = self.ranges
+        if len(ranges) != len(full):
+            raise APIError(
+                f"loop {self.name}: sub-range {tuple(ranges)} is not {len(full)}-D"
+            )
+        n = 1
+        for (lo, hi), (flo, fhi) in zip(ranges, full):
+            if lo < flo or hi > fhi or hi < lo:
+                raise APIError(
+                    f"loop {self.name}: sub-range {tuple(ranges)} leaves the "
+                    f"plan's ranges {full}"
+                )
+            n *= hi - lo
+        return n
+
+    def execute(self, args: Sequence, ranges=None) -> None:
+        """Replay the plan with this call's reduction handles bound in.
+
+        ``ranges`` restricts the sweep to a sub-range of the plan's own
+        ranges (one lazy cross-loop tile); it is executed as a single
+        sweep, accounted by its point count, and announces no loop event —
+        the whole loop is the observable unit, and callers slicing it must
+        not have observers to serve.
+        """
+        whole = ranges is None
+        if whole:
+            if observers_active():
+                event = self.event
+                for i in self.red_slots:
+                    red = args[i]
+                    ev = event.args[i]
+                    ev.name = red.name
+                    ev.data_ref = red
+                event.skip = False
+                notify_loop(event)
+                if event.skip:
+                    # recovery fast-forward: same contract as the interpreted path
+                    for dat in self.written_dats:
+                        dat.halo_dirty = True
+                    return
+        else:
+            n = self._contained_points(ranges)
 
         counters = active_counters()
         rec = counters.loop(self.name)
         kernel = self.kernel
         red_slots = self.red_slots
+        native = self.native
         trc = _trace.ACTIVE
-        span = trc.begin("par_loop", "ops", **self.trace_attrs) if trc is not None else None
+        span = None
+        if trc is not None:
+            attrs = self.trace_attrs
+            if not whole:
+                attrs = dict(attrs, n=n)
+            span = trc.begin("par_loop", "ops", **attrs)
         try:
             with Timer(rec):
-                if self.natives:
+                if native is not None:
                     counters.record_native_call()
-                    for nat in self.natives:
-                        nat.execute(args)
+                    if whole and self.tile_list is not None:
+                        for tile in self.tile_list:
+                            native.execute(args, tile)
+                    else:
+                        native.execute(args, ranges)
                 else:
-                    for accs in self.tile_accessors:
+                    for accs in self.tile_accessors if whole else (self._accessors(ranges),):
                         for i in red_slots:
                             accs[i] = args[i]
                         kernel(*accs)
         finally:
             if span is not None:
                 trc.end(span)
-        rec.merge(self.acct)
+        if whole:
+            rec.merge(self.acct)
+        else:
+            flops, bytes_read, bytes_written, indirect_reads = self.per_point
+            rec.invocations += 1
+            rec.iterations += n
+            rec.flops += n * flops
+            rec.bytes_read += n * bytes_read
+            rec.bytes_written += n * bytes_written
+            rec.indirect_reads += n * indirect_reads
+            rec.colours = max(rec.colours, 1)
 
         for dat in self.written_dats:
             dat.halo_dirty = True
@@ -336,14 +397,20 @@ def lookup(
         counters.record_plan_miss()
         if trc is not None:
             trc.instant("plan_miss", "plan", kernel=loop_name, backend=backend)
-        limit = get_config().execplan_cache_size
-        while len(_registry) > limit:
-            _, evicted = _registry.popitem(last=False)
-            _stats["evictions"] += 1
-            counters.record_plan_eviction()
-            if trc is not None:
-                trc.instant("plan_eviction", "plan", kernel=evicted.name)
+        _evict_to(get_config().execplan_cache_size)
     return compiled
+
+
+def _evict_to(limit: int) -> None:
+    """Drop least-recently-used plans down to ``limit``; caller holds ``_lock``."""
+    counters = active_counters()
+    trc = _trace.ACTIVE
+    while len(_registry) > limit:
+        _, evicted = _registry.popitem(last=False)
+        _stats["evictions"] += 1
+        counters.record_plan_eviction()
+        if trc is not None:
+            trc.instant("plan_eviction", "plan", kernel=evicted.name)
 
 
 def clear_plan_cache() -> None:
@@ -365,9 +432,7 @@ def set_plan_cache_capacity(limit: int) -> None:
 
     configure(execplan_cache_size=limit)
     with _lock:
-        while len(_registry) > limit:
-            _registry.popitem(last=False)
-            _stats["evictions"] += 1
+        _evict_to(limit)
 
 
 def plan_cache_stats() -> dict[str, int]:

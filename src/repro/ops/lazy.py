@@ -14,9 +14,13 @@ mixed-API program, or an explicit :func:`flush` — at which moment:
    same analysis the static linter runs over source),
 2. :func:`repro.ops.tileplan.build_tile_schedule` fuses runs of
    compatible loops and cuts them into skewed cross-loop tiles,
-3. each tile executes through the normal dispatch
-   (:func:`repro.ops.parloop._execute_loop`), so the ``execplan`` compiled
-   path caches one plan per (loop, tile) and replays it every timestep.
+3. each queued loop of a fused group fetches its
+   :class:`~repro.ops.execplan.CompiledOpsLoop` once — the very plan an
+   eager call of the site replays, keyed on the loop's full ranges — and
+   every tile runs as ``plan.execute(args, tile_ranges)``: the tile bounds
+   are a run-time argument (the native tier retargets its bound pointer
+   and extent buffers in place), never a plan key.  A flush therefore
+   costs one plan lookup per queued loop however many tiles it cuts.
 
 Schedules are cached in a bounded LRU keyed by the chain's structural
 signature — per loop: kernel code identity, block/dat tokens, ranges,
@@ -420,9 +424,17 @@ def _execute_whole(q: QueuedLoop) -> None:
     )
 
 
-def _run_queue(queue: list, reason: str) -> None:
-    from repro.ops.parloop import _execute_loop
+def _plan_for(q: QueuedLoop):
+    """The loop's compiled plan — the one an eager call of the site replays."""
+    from repro.ops import execplan
 
+    return execplan.lookup(
+        q.kernel, q.block, q.ranges, q.args, q.backend, q.name,
+        q.flops_per_point, q.tile_shape,
+    )
+
+
+def _run_queue(queue: list, reason: str) -> None:
     counters = active_counters()
     counters.record_lazy_flush(len(queue))
     trc = _trace.ACTIVE
@@ -432,19 +444,25 @@ def _run_queue(queue: list, reason: str) -> None:
         else None
     )
     try:
-        if observers_active():
-            # fallback: an observer installed from *another* thread after
-            # these loops queued (installation on this thread would have
-            # drained them).  It must see one notify per loop, in program
-            # order, with state at each event identical to eager execution
-            # — replay whole loops and skip fusion entirely
+        if observers_active() or not get_config().use_execplan:
+            # whole-loop replay in program order, no fusion.  Observers: one
+            # installed from *another* thread after these loops queued
+            # (installation on this thread would have drained them) must
+            # see one notify per loop, with state at each event identical
+            # to eager execution.  Compiled path off: a tile is a sub-range
+            # replay of a compiled plan, so there is nothing to slice
             for q in queue:
                 _execute_whole(q)
             return
         schedule, group_saved = _schedule_for(queue)
         for gi, group in enumerate(schedule.groups):
-            if not group.fused:
-                _execute_whole(queue[group.loops[0]])
+            members = [queue[li] for li in group.loops]
+            # one lookup per queued loop per flush: tile bounds are run-time
+            # arguments of the plan, never part of its key
+            plans = [_plan_for(q) for q in members] if group.fused else None
+            if plans is None or None in plans:
+                for q in members:
+                    _execute_whole(q)
                 continue
             counters.record_lazy_group(group.n_tiles, group_saved[gi])
             for t_idx, tile in enumerate(group.tiles):
@@ -455,11 +473,7 @@ def _run_queue(queue: list, reason: str) -> None:
                 )
                 try:
                     for entry in tile:
-                        q = queue[group.loops[entry.loop]]
-                        _execute_loop(
-                            q.kernel, q.block, list(entry.ranges), q.args,
-                            "vec", q.name, q.flops_per_point, False, None,
-                        )
+                        plans[entry.loop].execute(members[entry.loop].args, entry.ranges)
                 finally:
                     if tspan is not None:
                         trc.end(tspan)

@@ -66,6 +66,20 @@ class TestPerfCounters:
         assert not c.loops
         assert c.messages_sent == 0
 
+    def test_native_declines_merge_and_reset(self):
+        a, b = PerfCounters(), PerfCounters()
+        a.record_native_fallback("ops", "advec", "certificate: opaque call")
+        b.record_native_fallback("op2", "update", "global INC is pairwise-summed on vec")
+        a.merge(b)
+        assert a.native_fallbacks == 2
+        assert a.native_declines == {
+            ("ops", "advec"): "certificate: opaque call",
+            ("op2", "update"): "global INC is pairwise-summed on vec",
+        }
+        a.reset()
+        assert a.native_fallbacks == 0 and not a.native_declines
+        assert b.native_declines  # merge copied, reset did not reach the source
+
     def test_summary_rows_in_insertion_order(self):
         c = PerfCounters()
         c.loop("b")

@@ -379,6 +379,64 @@ class TestOpsRegistry:
 # -- counters and timing_report -----------------------------------------------------
 
 
+class TestRangeArgument:
+    def test_sub_range_outside_plan_raises_instead_of_running(self):
+        from repro.common.errors import APIError
+
+        block, d, scale = TestOpsRegistry._site()
+        full = [(1, 5), (0, 5)]
+        args = (d(ops.RW),)
+        plan = ops_exec.lookup(scale, block, full, args, "vec", "scale", 0, None)
+        before = d.data.copy()
+        for bad in (
+            [(0, 5), (0, 5)],   # one row below the plan's range
+            [(1, 6), (0, 5)],   # one row above: still inside the storage
+            [(1, 5), (-1, 2)],  # into the halo
+            [(3, 2), (0, 5)],   # negative extent
+            [(1, 5)],           # wrong rank
+        ):
+            with pytest.raises(APIError, match="sub-range"):
+                plan.execute(args, bad)
+        np.testing.assert_array_equal(d.data, before)
+        plan.execute(args, [(1, 5), (0, 5)])  # the full range itself is a legal slice
+        assert d.interior[0, 0] == 1.5 and d.interior[1, 0] == 3.0
+
+
+class TestResizeEvictionAccounting:
+    """Shrinking the LRU evicts through the same books as a lookup does."""
+
+    @pytest.mark.parametrize("api", ["op2", "ops"])
+    def test_resize_counts_and_traces_evictions(self, api):
+        from repro import telemetry
+        from repro.common.config import Config, configure
+
+        if api == "op2":
+            mod, stats = op2, op2_exec.plan_cache_stats
+            nodes = op2.Set(8, "nodes")
+            x = op2.Dat(nodes, 1, np.zeros(8), name="x")
+            for i in range(3):
+                k = op2.Kernel(lambda a: None, f"k{i}", vec_func=lambda a: None)
+                op2.par_loop(k, nodes, x(op2.RW), backend="vec")
+        else:
+            mod, stats = ops, ops_exec.plan_cache_stats
+            block, d, scale = TestOpsRegistry._site()
+            for hi in (4, 5, 6):
+                ops.par_loop(scale, block, [(0, hi), (0, 5)], d(ops.RW), backend="vec")
+        s0 = stats()
+        assert s0["size"] == 3
+        counters = PerfCounters()
+        try:
+            with counters_scope(counters), telemetry.tracing() as trc:
+                mod.set_plan_cache_capacity(1)
+            evicted = [e for e in trc.events()
+                       if isinstance(e, telemetry.InstantEvent) and e.name == "plan_eviction"]
+        finally:
+            configure(execplan_cache_size=Config().execplan_cache_size)
+        s1 = stats()
+        assert s1["size"] == 1
+        assert s1["evictions"] - s0["evictions"] == counters.plan_evictions == len(evicted) == 2
+
+
 class TestPlanCounters:
     def test_hit_rate_after_warmup_exceeds_99_percent(self):
         _fresh_caches()

@@ -816,6 +816,72 @@ class TestSpmdAndServices:
 # ---------------------------------------------------------------------------
 
 
+class TestOnePlanPerLoop:
+    def test_tiles_replay_three_plans_within_a_four_entry_lru(self):
+        """Tile bounds are run-time arguments of a loop's plan, not plan
+        keys: 36 tiles x 3 loops fit an LRU of 4 with nothing evicted, and
+        accounting sums to the eager run's exactly."""
+        from repro.common.config import Config, configure
+
+        def damp(a, b):
+            b[0, 0] = 0.5 * (a[0, 0] + b[0, 0])
+
+        def run(lazy_on):
+            ops.clear_plan_cache()
+            blk, u, v = _chain_setup(n=96)
+            r = [(0, 96), (0, 96)]
+            flushes = []
+            with swap(lazy=lazy_on, lazy_tile=(16, 16)):
+                for _ in range(2):
+                    c = PerfCounters()
+                    with counters_scope(c):
+                        ops.par_loop(smooth, blk, r, u(ops.READ, ops.S2D_5PT),
+                                     v(ops.WRITE), backend="vec")
+                        ops.par_loop(accum, blk, r, v(ops.READ), u(ops.RW),
+                                     backend="vec")
+                        ops.par_loop(damp, blk, r, u(ops.READ), v(ops.RW),
+                                     backend="vec")
+                        lazy_mod.flush("step")
+                    flushes.append(c)
+            return u.data.copy(), v.data.copy(), flushes
+
+        ops.set_plan_cache_capacity(4)
+        try:
+            u_e, v_e, eager = run(False)
+            u_l, v_l, lazy = run(True)
+        finally:
+            configure(execplan_cache_size=Config().execplan_cache_size)
+        np.testing.assert_array_equal(u_l, u_e)
+        np.testing.assert_array_equal(v_l, v_e)
+        first, second = lazy
+        assert first.lazy_tiles > 30  # really tiled: 6x6 cuts plus skew
+        assert (first.plan_misses, first.plan_hits) == (3, 0)
+        assert (second.plan_misses, second.plan_hits) == (0, 3)
+        assert second.plan_hit_rate == 1.0
+        assert first.plan_evictions == second.plan_evictions == 0
+        for got, want in zip(lazy, eager):
+            for name in ("smooth", "accum", "damp"):
+                g, w = got.loops[name], want.loops[name]
+                assert (g.iterations, g.bytes_read, g.bytes_written, g.flops) == (
+                    w.iterations, w.bytes_read, w.bytes_written, w.flops), name
+
+    def test_compiled_path_off_replays_whole_loops(self):
+        """Tiles are sub-range replays of compiled plans; without the
+        compiled path the queue degrades to eager order, still bitwise."""
+        def run(**cfg):
+            blk, u, v = _chain_setup()
+            with swap(**cfg):
+                _queue_chain(blk, u, v)
+                lazy_mod.flush("end")
+            return u.data.copy()
+
+        c = PerfCounters()
+        with counters_scope(c):
+            lazy = run(lazy=True, use_execplan=False)
+        np.testing.assert_array_equal(lazy, run(lazy=False))
+        assert c.lazy_flushes == 1 and c.lazy_tiles == 0
+
+
 class TestChainCache:
     def test_repeat_chain_hits(self):
         c = PerfCounters()

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ops, telemetry
 from repro.common.config import swap
@@ -234,8 +235,9 @@ class TestDiffBatteryRank4:
 class TestLazyThroughNative:
     @requires_cc
     def test_lazy_tiles_execute_compiled(self):
-        """Queued loops drain through per-tile vec plans; each tile's plan
-        carries its own native loop, and the result stays bitwise."""
+        """Queued loops drain through one range-parametric plan per loop —
+        the plan an eager call of the site replays, its native object
+        retargeted per tile — and the result stays bitwise."""
         from repro.ops import lazy as lazy_mod
 
         def smooth(a, b):
@@ -265,9 +267,129 @@ class TestLazyThroughNative:
         u_eager, c_eager = run(False)
         u_lazy, c_lazy = run(True)
         np.testing.assert_array_equal(u_eager, u_lazy)
-        # the lazy drain itself executed through compiled kernels
-        assert c_lazy.native_calls > 0
-        assert c_lazy.lazy_flushes > 0
+        # the lazy drain itself executed through compiled kernels: several
+        # tiles per loop, but only the two sites' plans were ever built
+        assert c_lazy.lazy_flushes == 1 and c_lazy.lazy_tiles > 1
+        assert c_lazy.native_calls > c_eager.native_calls
+        assert c_lazy.plan_misses <= 2
+        assert c_lazy.plan_evictions == 0
+
+
+def _smooth(a, b):
+    b[0, 0] = 0.25 * (a[1, 0] + a[-1, 0] + a[0, 1] + a[0, -1])
+
+
+def _smooth_exp(a, b):
+    # exp has no bitwise C spelling: the native tier declines, vec runs
+    b[0, 0] = np.exp(0.25 * (a[1, 0] + a[-1, 0] + a[0, 1] + a[0, -1]))
+
+
+def _scale_minmax(a, b, lo, hi):
+    b[0, 0] = b[0, 0] * 0.5 + a[0, 1]
+    lo.min(a[0, 0])
+    hi.max(b[0, 0])
+
+
+class TestRangeParametricPlan:
+    """One plan, built for the full range, replayed over sub-ranges."""
+
+    RANGES = [(1, 21), (0, 17)]
+
+    @staticmethod
+    def _site(kernel):
+        blk = ops.Block(2)
+        a = ops.Dat(blk, (22, 17), halo_depth=2, name="a")
+        b = ops.Dat(blk, (22, 17), halo_depth=2, name="b")
+        rng = np.random.default_rng(11)
+        a.data[...] = rng.random(a.data.shape)
+        b0 = rng.random(b.data.shape)
+        reds = kernel is _scale_minmax
+
+        def args():
+            dats = (a(ops.READ, ops.S2D_5PT), b(ops.RW if reds else ops.WRITE))
+            return dats + ((ops.Reduction("min"), ops.Reduction("max")) if reds else ())
+
+        def observe(call_args):
+            return [b.data.copy(), *(r.value for r in call_args[2:])]
+
+        def reset():
+            b.data[...] = b0  # in place: the plan guards on storage identity
+
+        return blk, args, observe, reset
+
+    @pytest.mark.parametrize("kernel,native", [
+        pytest.param(_smooth, True, marks=requires_cc),
+        (_smooth, False),
+        (_smooth_exp, True),
+        pytest.param(_scale_minmax, True, marks=requires_cc),
+        (_scale_minmax, False),
+    ])
+    def test_exact_partition_is_bitwise_whole(self, kernel, native):
+        from repro.ops import execplan
+
+        full = self.RANGES
+        blk, args, observe, reset = self._site(kernel)
+        with swap(native=native):
+            first = args()
+            plan = execplan.lookup(kernel, blk, full, first, "vec", kernel.__name__, 0, None)
+        assert (plan.native is not None) == (native and kernel is not _smooth_exp)
+        reset()
+        plan.execute(first)
+        expected = observe(first)
+
+        def cuts(lo, hi):
+            return st.sets(st.integers(lo + 1, hi - 1), max_size=4).map(
+                lambda inner: [lo, *sorted(inner), hi]
+            )
+
+        @settings(max_examples=25, deadline=None)
+        @given(xs=cuts(*full[0]), ys=cuts(*full[1]), order=st.randoms())
+        def prop(xs, ys, order):
+            tiles = [
+                ((x0, x1), (y0, y1))
+                for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])
+            ]
+            order.shuffle(tiles)  # no cross-point dependence inside one loop
+            reset()
+            tiled = args()
+            for tile in tiles:
+                plan.execute(tiled, tile)
+            for got, want in zip(observe(tiled), expected):
+                np.testing.assert_array_equal(got, want)
+            # whole-range replay right after a sub-range: must rebind
+            reset()
+            again = args()
+            plan.execute(again)
+            for got, want in zip(observe(again), expected):
+                np.testing.assert_array_equal(got, want)
+
+        prop()
+
+    @requires_cc
+    def test_tiled_backend_shares_one_native(self):
+        """``tiled`` sweeps its tiles through the plan's single native
+        object (no per-tile admission) and stays bitwise equal to vec."""
+        from repro.ops import execplan
+
+        def run(backend, native):
+            _clear_plans()
+            blk, args, observe, reset = self._site(_smooth)
+            reset()
+            counters = PerfCounters()
+            with counters_scope(counters), swap(native=native):
+                for _ in range(2):
+                    ops.par_loop(_smooth, blk, self.RANGES, *args(),
+                                 backend=backend, tile_shape=(8, 8))
+                plan = execplan.lookup(_smooth, blk, self.RANGES, args(), backend,
+                                       "_smooth", 0, (8, 8))
+            return observe(())[0], plan, counters
+
+        want, _, _ = run("vec", False)
+        got, plan, counters = run("tiled", True)
+        np.testing.assert_array_equal(got, want)
+        assert plan.tiles == 9 and plan.native is not None
+        assert counters.native_fallbacks == 0
+        assert counters.native_cache_hits + counters.native_cache_misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +655,39 @@ class TestNativeTelemetry:
 
     def test_footer_absent_without_native_activity(self):
         assert "native:" not in timing_report(PerfCounters())
+
+    def test_lazy_declines_once_per_loop_with_reason_in_footer(self):
+        """One plan per loop: a declined site is declined (and explained)
+        once, however many tiles the flush cuts it into."""
+        from repro.ops import lazy as lazy_mod
+
+        def warm(a, b):
+            b[0, 0] = np.exp(a[1, 0] - a[0, 0])
+
+        def blend(b, a):
+            a[0, 0] = 0.5 * (a[0, 0] + b[0, 0])
+
+        _clear_plans()
+        lazy_mod.clear_chain_cache()
+        blk = ops.Block(2)
+        u = ops.Dat(blk, (24, 24), halo_depth=2, name="u")
+        v = ops.Dat(blk, (24, 24), halo_depth=2, name="v")
+        r = [(1, 23), (1, 23)]
+        counters = PerfCounters()
+        with counters_scope(counters), swap(native=False, lazy=True, lazy_tile=(8, 8)):
+            ops.par_loop(warm, blk, r, u(ops.READ, ops.S2D_5PT), v(ops.WRITE),
+                         backend="vec")
+            ops.par_loop(blend, blk, r, v(ops.READ), u(ops.RW), backend="vec")
+            lazy_mod.flush("end")
+        lazy_mod.clear_chain_cache()
+        assert counters.lazy_tiles > 4
+        assert counters.native_fallbacks == 2
+        assert counters.native_declines == {
+            ("ops", "warm"): "disabled", ("ops", "blend"): "disabled"}
+        footer = timing_report(counters).splitlines()
+        at = next(i for i, ln in enumerate(footer) if ln.startswith("native:"))
+        assert footer[at + 1:at + 3] == [
+            "  declined ops:blend: disabled", "  declined ops:warm: disabled"]
 
 
 # ---------------------------------------------------------------------------
