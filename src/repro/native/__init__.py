@@ -11,13 +11,15 @@ tiling queue and the serving layer inherit compiled execution for free.
 Admission is deliberately bitwise-conservative: only loops whose C
 execution is IEEE-identical to the vec path are compiled (elementwise
 arithmetic, ``sqrt``/``fabs``, ternary selects, order-exact MIN/MAX folds,
-occurrence-order INC scatters).  Float *accumulations* whose NumPy
-reduction is pairwise (global INC, ``Reduction("inc")``) are declined, so
-``REPRO_NATIVE=1`` (the default) never perturbs a single bit of any
-existing backend-equivalence guarantee.  Everything declined — by the
-certificate, the structural gate, a missing toolchain, or ``REPRO_NATIVE=0``
-— falls back to the vec path with one ``native.fallback`` telemetry
-instant and a counter tick.
+occurrence-order INC scatters).  Float *sums* whose NumPy reduction is
+pairwise (global INC, ``Reduction("inc")``) are staged, not folded: the C
+fills the array the vec tier would have summed and the plan layer hands
+it to the same NumPy call, so ``REPRO_NATIVE=1`` (the default) never
+perturbs a single bit of any existing backend-equivalence guarantee and
+every loop of the bundled Airfoil and CloverLeaf runs generated C.
+Everything declined — by the certificate, the structural gate, a missing
+toolchain, or ``REPRO_NATIVE=0`` — falls back to the vec path with one
+``native.fallback`` telemetry instant and a counter tick.
 """
 
 from repro.native.cgen import Untranslatable, generate_op2, generate_ops, ir_for_callable

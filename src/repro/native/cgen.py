@@ -17,6 +17,14 @@ emitter:
   schedule bitwise (``np.add.at`` and the segment scatter accumulate in
   element order; fancy assignment is last-writer-wins in element order).
 
+Sums are *staged*, never folded in C.  NumPy's ``sum`` is pairwise, so a
+sequential C accumulator would differ in the last bits; instead the C
+writes what the vec tier would have handed to NumPy — the per-element
+``(n, dim)`` increment rows of an op2 global ``INC`` argument, the dense
+range-shaped value of an ops ``red.inc(expr)`` — into a stage, and the
+plan layer reduces that stage with the very NumPy call the vec tier
+makes.  Same operand bits, same reducer: equal by construction.
+
 Bitwise discipline.  The generated C must produce the *same bits* as the
 vec path, so only constructs with an exact NumPy↔C correspondence are
 emitted: ``+ - * /`` (IEEE), ``sqrt`` (correctly rounded on both sides),
@@ -33,7 +41,9 @@ Scalar constants that are not part of the kernel *source* — closure
 cells, module globals, defaulted trailing parameters — are never baked
 into the C text.  They are loaded from the ``cv`` (constant-vector)
 argument at run time, so per-timestep closures (CloverLeaf's ``dt``)
-re-use one cached shared object instead of recompiling every step.
+re-use one cached shared object instead of recompiling every step, and
+``bool`` flags (``first`` in CloverLeaf's ``advec_cell`` factories) travel
+as 0.0/1.0 so both settings share it too.
 Integer constants used in *index* position are the exception: they change
 the stencil, i.e. the structure of the loop, and are baked.
 
@@ -107,7 +117,7 @@ class NativeCode:
     source: str
     entry: str
     #: what each ``p[j]`` slot is: ("dat", argidx) | ("scratch", argidx)
-    #: | ("glob", argidx) — in slot order
+    #: | ("glob", argidx) | ("stage", None) — in slot order
     ptr_spec: tuple = ()
     #: what each ``m[j]`` slot is: ("strides",) for ops, ("cols", argidx)
     map_spec: tuple = ()
@@ -117,8 +127,12 @@ class NativeCode:
     #: names resolved into ``cv`` slots at plan-build time, in slot order;
     #: ``"="name`` is a free/closure read, ``"@"name`` a defaulted parameter
     const_names: tuple = ()
-    #: scratch slots: (argidx, n_components) — op2 only
+    #: op2 scratch slots: (argidx, n_components); a global INC argument's
+    #: slot is the stage the plan layer sums
     scratch_spec: tuple = ()
+    #: ops: the reduction argument each ``.inc()`` call folds into, in call
+    #: order; sweep ``j`` (``n[ndim] == j``) fills the stage for call ``j``
+    stage_args: tuple = ()
 
 
 # -- IR retrieval ------------------------------------------------------------
@@ -190,6 +204,15 @@ def resolve_free(fn, dotted: str):
     return obj
 
 
+def is_scalar_const(obj) -> bool:
+    """A value the ``cv`` vector can carry as a double.
+
+    Python ``bool`` flags ride along as 0.0/1.0: ``a if flag else b``
+    selects the same operand, and ``x * flag`` is ``x * 1`` either way.
+    """
+    return isinstance(obj, (bool, int, float, np.floating, np.integer))
+
+
 #: callables with a bitwise-exact scalar C spelling, matched by identity
 #: (a user shadowing ``sqrt`` with their own function must not be compiled)
 _SQRT_FNS = (math.sqrt, np.sqrt)
@@ -207,6 +230,17 @@ def _np_select(keep: str, other: str, op: str) -> str:
     operand's NaN also propagates (the select falls through to it).
     """
     return f"(({keep} {op} {other} || {keep} != {keep}) ? {keep} : {other})"
+
+
+def _subexprs(e) -> list:
+    """The direct sub-expressions of an IR expression node."""
+    subs = [
+        v for attr in ("left", "right", "operand", "test", "body", "orelse")
+        if (v := getattr(e, attr, None)) is not None
+    ]
+    for attr in ("operands", "args", "elts"):
+        subs.extend(getattr(e, attr, ()) or ())
+    return subs
 
 
 # -- bindings ----------------------------------------------------------------
@@ -246,9 +280,7 @@ class _Emitter:
     def free_scalar(self, dotted: str) -> str:
         """A free name that must resolve to a Python/NumPy scalar → cv slot."""
         obj = resolve_free(self.fn, dotted)
-        if isinstance(obj, bool) or not isinstance(
-            obj, (int, float, np.floating, np.integer)
-        ):
+        if not is_scalar_const(obj):
             raise Untranslatable(f"free name {dotted!r} is not a numeric scalar")
         return self._cv("=" + dotted)
 
@@ -541,12 +573,7 @@ class _Emitter:
                 return True
             if isinstance(x, EName) and (x.kind == "param" or x.name in self.locals):
                 return True
-            for attr in ("left", "right", "operand", "test", "body", "orelse"):
-                v = getattr(x, attr, None)
-                if v is not None:
-                    stack.append(v)
-            for attr in ("operands", "args", "elts"):
-                stack.extend(getattr(x, attr, ()) or ())
+            stack.extend(_subexprs(x))
         return False
 
     def _for(self, s: SFor) -> None:
@@ -575,6 +602,46 @@ class _OpsEmitter(_Emitter):
         super().__init__(fn, ir, binds, "ops")
         self.ndim = ndim
         self.red_regs: dict[str, int] = {}  # param name -> red slot
+        self.stages: list[int] = []  # NativeCode.stage_args in the making
+        self._shape: dict[str, str] = {}  # local -> _vec_shape of its value
+
+    def _vec_shape(self, e) -> str:
+        """What the vec tier holds for ``e`` when it runs the kernel on views.
+
+        ``"scalar"`` (a Python number), ``"view"`` (a strided window of dat
+        storage), ``"fresh"`` (a newly allocated C-contiguous range-shaped
+        array — what every arithmetic result on a view is) or ``"mixed"``
+        (depends on the path taken).  ``np.sum`` walks a view and a fresh
+        array in different orders, so only ``"fresh"`` values can be staged.
+        """
+        if isinstance(e, ELoad):
+            return "view"
+        if isinstance(e, EName):
+            return self._shape.get(e.name, "scalar")
+        if isinstance(e, EIf):
+            taken, other = self._vec_shape(e.body), self._vec_shape(e.orelse)
+            return taken if taken == other else "mixed"
+        shapes = {self._vec_shape(sub) for sub in _subexprs(e)}
+        if "mixed" in shapes:
+            return "mixed"
+        return "fresh" if shapes - {"scalar"} else "scalar"
+
+    def _assign(self, target, value, aug: str | None) -> None:
+        if isinstance(target, TLocal):
+            new = self._vec_shape(value)
+            old = self._shape.get(target.name)
+            if aug is not None:
+                if old == "fresh":
+                    new = "fresh"  # in place on the array the local owns
+                elif old == "scalar":
+                    # rebound to the result: an array as soon as one is in it
+                    new = new if new in ("scalar", "mixed") else "fresh"
+                else:
+                    new = "mixed"  # updates a dat through its view: not ours
+            elif self._depth != self.ndim and old not in (None, new):
+                new = "mixed"  # assigned under a branch that may not run
+            self._shape[target.name] = new
+        super()._assign(target, value, aug)
 
     def load(self, param: str, index, store: bool) -> str:
         b = self.binds.get(param)
@@ -600,10 +667,9 @@ class _OpsEmitter(_Emitter):
             raise Untranslatable("fold on a non-reduction parameter")
         if s.method != b.kind:
             raise Untranslatable(f".{s.method}() fold on a {b.kind!r} reduction")
-        if b.kind not in ("min", "max"):
-            # Reduction('inc') accumulates via np.sum (pairwise) on the vec
-            # path — a sequential C loop is NOT bitwise-identical
-            raise Untranslatable("inc reduction is pairwise-summed on vec")
+        if b.kind == "inc":
+            self._stage_inc(s, b)
+            return
         op = "<" if b.kind == "min" else ">"
         j = self.red_regs[s.param]
         for a in s.args:
@@ -613,12 +679,44 @@ class _OpsEmitter(_Emitter):
             # running register wins ties and propagates its NaN
             self.emit(f"r{j} = {_np_select(f'r{j}', t, op)};")
 
+    def _stage_inc(self, s: SFold, b: _Bind) -> None:
+        """``red.inc(expr)``: store ``expr`` per point; the plan layer sums.
+
+        The stage is dense over the swept extents, i.e. exactly the array
+        the vec tier passes to ``Reduction.inc`` — which the plan layer
+        then calls on it.  There is one stage and one sweep per ``.inc()``
+        call (``sel`` picks whose value is stored), in source order, so a
+        summary kernel with five folds holds one range-sized buffer, not
+        five; the price is that such a loop may not write a dat, or the
+        repeated sweeps would repeat the writes.
+        """
+        if any(bb.role == "opsdat" and bb.writable for bb in self.binds.values()):
+            raise Untranslatable("inc fold in a loop that writes a dat")
+        if self._depth != self.ndim:
+            raise Untranslatable("inc fold under control flow")
+        if len(s.args) != 1:
+            raise Untranslatable(".inc() takes exactly one value")
+        shape = self._vec_shape(s.args[0])
+        if shape == "scalar":
+            # np.sum of a scalar adds it once, not once per point
+            raise Untranslatable("inc of a value that reads no dat")
+        if shape != "fresh":
+            raise Untranslatable("inc of a dat view (np.sum walks strided storage)")
+        value = self.value(s.args[0])
+        flat = "i0"
+        for d in range(1, self.ndim):
+            flat = f"({flat}) * n{d} + i{d}"
+        self.emit(f"if (sel == {len(self.stages)}) q[{flat}] = {value};")
+        self.stages.append(b.k)
+
 
 def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
     """Generate C for one OPS structured loop.
 
     ``argspecs`` classifies each loop argument: ``("dat", writes)`` or
-    ``("red", kind)`` — structure only, never values.
+    ``("red", kind)`` — structure only, never values.  A kernel with
+    ``.inc()`` calls takes one ``("stage", None)`` pointer slot after the
+    dats and a sweep selector in ``n[ndim]`` (see ``stage_args``).
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -640,7 +738,8 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
             dat_args.append(k)
         elif spec[0] == "red":
             binds[name] = _Bind("opsred", k, kind=spec[1])
-            red_spec.append(("red", k, spec[1]))
+            if spec[1] != "inc":
+                red_spec.append(("red", k, spec[1]))
         else:
             raise Untranslatable(f"argument {k} is neither dat nor reduction")
     for name in params[len(argspecs):]:
@@ -655,6 +754,10 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
     decls: list[str] = []
     for j, (_, k) in enumerate(ptr_spec):
         decls.append(f"    double *p{k} = p[{j}];")
+    if em.stages:
+        decls.append(f"    double *q = p[{len(ptr_spec)}];")
+        decls.append(f"    const long long sel = n[{ndim}];")
+        ptr_spec.append(("stage", None))
     si = 0
     for k in dat_args:
         for d in range(ndim - 1):
@@ -700,6 +803,7 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
         map_spec=(("strides",),) if dat_args else (),
         red_spec=tuple(red_spec),
         const_names=tuple(em.const_slots),
+        stage_args=tuple(em.stages),
     )
 
 
@@ -721,7 +825,7 @@ class _Op2Emitter(_Emitter):
         if b.role == "iread":
             if store:
                 raise Untranslatable(f"write to READ parameter {param!r}")
-            return f"p{b.k}[t{b.k} * {b.dim} + {c}]"
+            return f"p{b.k}[row{b.k} * {b.dim} + {c}]"
         if b.role == "ibuf":
             return f"S{b.k}[e * {b.dim} + {c}]"
         if b.role == "gread":
@@ -754,7 +858,11 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     """Generate two-phase C for one OP2 unstructured loop.
 
     ``argspecs`` classifies each argument: ``("direct", dim, access)``,
-    ``("ind", dim, access)``, ``("gread", dim)`` or ``("gmm", dim, kind)``.
+    ``("ind", dim, access)``, ``("gread", dim)``, ``("gmm", dim, kind)`` or
+    ``("ginc", dim)``.  A ``ginc`` argument is a scratch slot like an
+    indirect INC buffer — zeroed per element, the kernel's ``+=`` land in
+    its row in source order — but nothing scatters it: the ``(n, dim)``
+    rows are the stage the plan layer hands to NumPy's own ``sum``.
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -774,6 +882,11 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         if role == "gread":
             binds[name] = _Bind("gread", k, dim=int(spec[1]))
             ptr_spec.append(("glob", k))
+        elif role == "ginc":
+            dim = int(spec[1])
+            binds[name] = _Bind("ibuf", k, dim=dim, writable=True, kind="INC")
+            ptr_spec.append(("scratch", k))
+            scratch_spec.append((k, dim))
         elif role == "gmm":
             dim, kind = int(spec[1]), spec[2]
             binds[name] = _Bind("gmm", k, dim=dim, writable=True, kind=kind)
@@ -824,7 +937,7 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     # phase A prologue per element: map columns, scratch init, global cells
     pro: list[str] = []
     for _, k in map_spec:
-        pro.append(f"        const long long t{k} = c{k}[e];")
+        pro.append(f"        const long long row{k} = c{k}[e];")
     for k, dim in scratch_spec:
         b = binds[params[k]]
         if b.kind == "INC":
@@ -835,7 +948,7 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             # _G_TAKE), so an unwritten component scatters back unchanged
             for c in range(dim):
                 pro.append(
-                    f"        S{k}[e * {dim} + {c}] = p{k}[t{k} * {dim} + {c}];"
+                    f"        S{k}[e * {dim} + {c}] = p{k}[row{k} * {dim} + {c}];"
                 )
     for k in gmm_args:
         b = binds[params[k]]
@@ -861,6 +974,8 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     # order for INC; fancy-assign last-writer-wins element order otherwise)
     phase_b: list[str] = []
     for k, dim in scratch_spec:
+        if argspecs[k][0] == "ginc":
+            continue  # staged for the plan layer's NumPy sum, not scattered
         b = binds[params[k]]
         assign = "+=" if b.kind == "INC" else "="
         phase_b.append("    for (long long e = 0; e < ne; ++e) {")

@@ -13,8 +13,11 @@ The admission ladder, in order:
 2. The kernel's :class:`~repro.lint.abstract.KernelCertificate` must be
    ``translatable`` (complete lowering, pure, proven-bounded extents).
 3. Structural gates that keep C-vs-vec bitwise: float64 contiguous data
-   only; no pairwise-summed accumulations (global INC, ``Reduction('inc')``
-   — declined in codegen); written dats must not alias other arguments
+   only; sums (op2 global INC, ops ``Reduction('inc')``) are never folded
+   in C — the kernel fills a stage and ``execute`` reduces it
+   with the NumPy call the vec tier makes (``Global.accumulate`` /
+   ``Reduction.inc``), and a global may be written through one argument
+   only; written dats must not alias other arguments
    (op2 allows multi-arg writes only when every access to that dat is
    indirect, which the two-phase schedule orders exactly like the vec
    scatters); ops written dats must have centre-only proven extents (the
@@ -94,9 +97,7 @@ def _const_values(fn, code: "_cgen.NativeCode", ir) -> np.ndarray:
             if idx < 0 or idx >= len(defaults):
                 raise _cgen.Untranslatable(f"parameter {name!r} has no default")
             obj = defaults[idx]
-        if isinstance(obj, bool) or not isinstance(
-            obj, (int, float, np.floating, np.integer)
-        ):
+        if not _cgen.is_scalar_const(obj):
             raise _cgen.Untranslatable(f"constant {name!r} is not a numeric scalar")
         values.append(float(obj))
     return np.asarray(values, dtype=np.float64)
@@ -124,16 +125,20 @@ class NativeOpsLoop:
 
     __slots__ = (
         "call", "red_info", "red_arr", "ranges", "ptrs", "narr",
-        "_layout", "_sub", "_keepalive",
+        "stages", "_layout", "_sub", "_keepalive",
     )
 
-    def __init__(self, call, red_info, red_arr, ranges, ptrs, narr, layout, keepalive):
+    def __init__(self, call, red_info, red_arr, ranges, ptrs, narr, stages, layout, keepalive):
         self.call = call
         self.red_info = red_info  # [(slot, kind, arg_index), ...]
         self.red_arr = red_arr
         self.ranges = ranges
         self.ptrs = ptrs
         self.narr = narr
+        #: (pointer slot, [arg_index per ``.inc()`` call, in call order]) or
+        #: None.  The stage buffer lives for one execute only, like the
+        #: temporaries vec sums: a plan holds no range-sized array
+        self.stages = stages
         #: (byte strides, [(pointer slot, address of the full range's
         #: origin), ...]) per distinct storage layout: dats of one shape
         #: share the offset a sub-range adds
@@ -151,7 +156,7 @@ class NativeOpsLoop:
                 off += d * s
             for i, origin in slots:
                 ptrs[i] = origin + off
-        self.narr[:] = [hi - lo for lo, hi in ranges]
+        self.narr[:-1] = [hi - lo for lo, hi in ranges]
 
     def execute(self, args, ranges=None) -> None:
         """Run the kernel over ``ranges`` (default: the full admitted range).
@@ -173,7 +178,22 @@ class NativeOpsLoop:
             # seed with the fold identity: the register then equals
             # np.min/np.max over the swept elements exactly
             red[j] = math.inf if kind == "min" else -math.inf
-        self.call()
+        if self.stages is None:
+            self.call()
+        else:
+            slot, folds = self.stages
+            narr = self.narr
+            # dense over the swept extents: the fresh C-contiguous array
+            # the vec tier would have computed and passed to ``inc``
+            buf = np.empty(tuple(narr[:-1]), dtype=np.float64)
+            self.ptrs[slot] = _addr(buf)
+            for j, k in enumerate(folds):
+                # sweep j stores the j-th fold's value; it re-folds the
+                # min/max registers onto themselves, which changes nothing
+                narr[-1] = j
+                self.call()
+                # the same handle.inc(array) as vec: np.sum does the summing
+                args[k].inc(buf)
         for j, kind, k in info:
             handle = args[k]
             # the same handle.min(value) fold the vec path performs
@@ -214,8 +234,6 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
             argspecs.append(("dat", bool(arg.access.writes)))
             dat_of.append(dat)
         elif getattr(arg, "kind", None) in ("inc", "min", "max"):
-            if arg.kind == "inc":
-                raise _cgen.Untranslatable("inc reduction is pairwise-summed on vec")
             argspecs.append(("red", arg.kind))
             dat_of.append(None)
         else:
@@ -269,7 +287,12 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     origins = []
     by_strides: dict[tuple, list] = {}
     strides: list[int] = []
-    for i, (_, k) in enumerate(code.ptr_spec):
+    stages = None
+    for i, (role, k) in enumerate(code.ptr_spec):
+        if role == "stage":
+            stages = (i, code.stage_args)
+            origins.append(0)  # pointed at a fresh buffer by every execute
+            continue
         dat = dat_of[k]
         st = dat._storage
         origin = st.ctypes.data + sum(
@@ -281,7 +304,8 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     ptrs = np.asarray(origins, dtype=np.uint64)
     sarr = np.asarray(strides, dtype=np.int64) if strides else _EMPTY_I64
     marr = np.asarray([_addr(sarr)], dtype=np.uint64)
-    narr = np.asarray([hi - lo for lo, hi in ranges], dtype=np.int64)
+    # extents, then the sweep selector of staged ``.inc()`` folds
+    narr = np.asarray([*(hi - lo for lo, hi in ranges), 0], dtype=np.int64)
     red_arr = (
         np.zeros(len(code.red_spec), dtype=np.float64) if code.red_spec else _EMPTY_F64
     )
@@ -292,7 +316,7 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     red_info = [(j, kind, k) for j, (_, k, kind) in enumerate(code.red_spec)]
     keepalive = (kern, sarr, marr, cv_arr, args)
     return NativeOpsLoop(
-        call, red_info, red_arr, tuple(ranges), ptrs, narr,
+        call, red_info, red_arr, tuple(ranges), ptrs, narr, stages,
         list(by_strides.items()), keepalive,
     )
 
@@ -302,12 +326,15 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
 class NativeOp2Loop:
     """A compiled unstructured loop bound to its storage addresses."""
 
-    __slots__ = ("call", "gmm_cells", "red_arr", "guards", "_keepalive")
+    __slots__ = ("call", "gmm_cells", "red_arr", "ginc", "guards", "_keepalive")
 
-    def __init__(self, call, gmm_cells, red_arr, guards, keepalive):
+    def __init__(self, call, gmm_cells, red_arr, ginc, guards, keepalive):
         self.call = call
         self.gmm_cells = gmm_cells  # [(slot, glob, cell), ...]
         self.red_arr = red_arr
+        #: [(glob, (n, dim) stage), ...] — the per-element increment rows
+        #: of each global INC argument, exactly the vec tier's buffer
+        self.ginc = ginc
         self.guards = guards  # [(owner, ndarray), ...] — identity checks
         self._keepalive = keepalive
 
@@ -326,6 +353,8 @@ class NativeOp2Loop:
         self.call()
         for j, g, c in cells:
             g.data[c] = red[j]
+        for g, stage in self.ginc:
+            g.accumulate(stage)
 
 
 def try_compile_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2Loop | None:
@@ -356,6 +385,13 @@ def _build_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2L
             "certificate: " + "; ".join(cert.reasons or ("not translatable",))
         )
 
+    # vec updates globals in argument order, NativeOp2Loop.execute by kind
+    # (MIN/MAX cells, then INC stages): only distinct globals make the two
+    # coincide
+    written = [id(a.glob) for a in args if a.glob is not None and a.access.name != "READ"]
+    if len(set(written)) != len(written):
+        raise _cgen.Untranslatable("global written through several arguments")
+
     argspecs: list[tuple] = []
     for arg in args:
         acc = arg.access.name
@@ -365,7 +401,7 @@ def _build_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2L
             elif acc in ("MIN", "MAX"):
                 argspecs.append(("gmm", arg.glob.dim, acc.lower()))
             else:
-                raise _cgen.Untranslatable("global INC is pairwise-summed on vec")
+                argspecs.append(("ginc", arg.glob.dim))
             if arg.glob.dtype != np.float64:
                 raise _cgen.Untranslatable("global is not float64")
             continue
@@ -413,35 +449,39 @@ def _build_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2L
             raise _cgen.Untranslatable(f"map column {k} leaves dat rows")
         cols[k] = c
     scratch: dict[int, np.ndarray] = {
-        k: np.empty(n * dim, dtype=np.float64) for k, dim in code.scratch_spec
+        k: np.empty((n, dim), dtype=np.float64) for k, dim in code.scratch_spec
     }
 
     ptr_vals = []
     guards: list[tuple] = []
     seen = set()
+
+    def guard(owner) -> None:
+        if id(owner) not in seen:
+            seen.add(id(owner))
+            guards.append((owner, owner.data))
+
     for role, k in code.ptr_spec:
         if role == "dat":
-            d = args[k].dat
-            ptr_vals.append(d.data.ctypes.data)
-            if id(d) not in seen:
-                seen.add(id(d))
-                guards.append((d, d.data))
+            ptr_vals.append(args[k].dat.data.ctypes.data)
+            guard(args[k].dat)
         elif role == "scratch":
             ptr_vals.append(scratch[k].ctypes.data)
         else:  # glob
-            g = args[k].glob
-            ptr_vals.append(g.data.ctypes.data)
-            if id(g) not in seen:
-                seen.add(id(g))
-                guards.append((g, g.data))
+            ptr_vals.append(args[k].glob.data.ctypes.data)
+            guard(args[k].glob)
     gmm_cells = []
     for j, entry in enumerate(code.red_spec):
         _, k, c, _kind = entry
-        g = args[k].glob
-        gmm_cells.append((j, g, c))
-        if id(g) not in seen:
-            seen.add(id(g))
-            guards.append((g, g.data))
+        gmm_cells.append((j, args[k].glob, c))
+        guard(args[k].glob)
+    ginc = []
+    for k, spec in enumerate(argspecs):
+        if spec[0] == "ginc":
+            ginc.append((args[k].glob, scratch[k]))
+            # no address of the global is baked, but its float64 check is:
+            # a rebound global drops the tier like any other storage change
+            guard(args[k].glob)
 
     ptrs = np.asarray(ptr_vals, dtype=np.uint64) if ptr_vals else np.empty(0, np.uint64)
     col_arrs = [cols[k] for _, k in code.map_spec]
@@ -459,4 +499,4 @@ def _build_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2L
     kern = _load(code.source, loop_name)
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
     keepalive = (kern, ptrs, marr, narr, cv_arr, col_arrs, scratch, args)
-    return NativeOp2Loop(call, gmm_cells, red_arr, guards, keepalive)
+    return NativeOp2Loop(call, gmm_cells, red_arr, ginc, guards, keepalive)

@@ -51,7 +51,7 @@ def _scatter(arg: Arg, buf: np.ndarray, idx: IndexLike) -> None:
     if arg.is_global:
         g = arg.glob
         if arg.access is Access.INC:
-            g.data += buf.sum(axis=0)
+            g.accumulate(buf)
         elif arg.access is Access.MIN:
             g.data[:] = np.minimum(g.data, buf.min(axis=0))
         elif arg.access is Access.MAX:

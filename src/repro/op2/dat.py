@@ -137,6 +137,16 @@ class Global:
 
         return Arg.from_global(self, access)
 
+    def accumulate(self, rows: np.ndarray) -> None:
+        """Fold per-element ``(n, dim)`` increment rows into the value.
+
+        The one definition of a global INC sum: the interpreted vec
+        backend, the compiled plans and the native tier (which stages the
+        same rows from C) all reduce through this NumPy call, so they agree
+        bitwise on whatever summation order this NumPy build uses.
+        """
+        self.data += rows.sum(axis=0)
+
     @property
     def value(self) -> float:
         """Scalar convenience accessor (dim-1 globals)."""

@@ -9,6 +9,13 @@ and amortised over every later one.  The interpreted path in
 it in a :class:`CompiledLoop`:
 
 * the validated descriptor list and the prebuilt loop event,
+* the native tier's compiled kernel when admission succeeds,
+* the loop's exact traffic/flop accounting, folded into the counters as
+  precomputed constants,
+
+and — cut on the first execute the native tier does not take, so a plan
+builds only the tier it runs:
+
 * per-subset gather index arrays (the whole range for ``vec``, one subset
   per block colour for ``openmp``),
 * a buffer arena — gather/INC/global buffers allocated once and reused
@@ -21,9 +28,7 @@ it in a :class:`CompiledLoop`:
   (a pure ``np.add.reduceat`` scatter is faster still, but its pairwise
   SIMD association is numpy-build-dependent and would break the repo's
   bitwise-parity guarantees).  Tiny or degenerate scatters stay on
-  ``np.add.at``,
-* the loop's exact traffic/flop accounting, folded into the counters as
-  precomputed constants.
+  ``np.add.at``.
 
 Compiled loops live in a bounded LRU registry keyed by *stable* monotonic
 tokens (kernel, iteration set, per-arg dat/map/idx/access, ``n``), never by
@@ -144,7 +149,7 @@ class _SubsetExec:
             elif mode == _S_ASSIGN:
                 op[1].data[op[2]] = buf
             elif mode == _S_GLOBAL_INC:
-                op[1].data += buf.sum(axis=0)
+                op[1].accumulate(buf)
             elif mode == _S_GLOBAL_MIN:
                 g = op[1]
                 g.data[:] = np.minimum(g.data, buf.min(axis=0))
@@ -173,7 +178,9 @@ def _segment_scatter(dat, cols: np.ndarray, dim: int, dtype) -> tuple:
     m = cols.shape[0]
     perm = np.argsort(cols, kind="stable")
     sorted_cols = cols[perm]
-    targets, starts = np.unique(sorted_cols, return_index=True)
+    # segment boundaries of an already-sorted array: one diff, no re-sort
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_cols)) + 1))
+    targets = sorted_cols[starts]
     counts = np.diff(np.append(starts, m))
     max_count = int(counts.max())
     if max_count > _MAX_SEGMENT_ROUNDS:
@@ -278,19 +285,18 @@ class CompiledLoop:
                     self.written_dats.append(arg.dat)
 
         # (c) execution schedule: one sweep for vec, one subset per block
-        # colour for openmp (direct loops need no plan on either backend)
+        # colour for openmp (direct loops need no plan on either backend).
+        # Only the colouring is needed now (accounting reads the colour
+        # count); the gather/scatter schedule and its arena are cut by
+        # _vec_subsets() on the first execute the native tier does not take
         racing = any(arg.creates_race for arg in args)
-        if backend == "openmp" and racing and n > 0:
-            plan = colour_plan.build_plan(iterset, args, n_elements=n)
-            self.colours = plan.n_block_colours
-            self.subsets = []
-            for colour in range(plan.n_block_colours):
-                elems = plan.elements_of_colour(colour)
-                if elems.size:
-                    self.subsets.append(_compile_subset(args, elems, elems.size))
-        else:
-            self.colours = 1
-            self.subsets = [_compile_subset(args, slice(0, n), n)] if n > 0 else []
+        self._colouring = (
+            colour_plan.build_plan(iterset, args, n_elements=n)
+            if backend == "openmp" and racing and n > 0
+            else None
+        )
+        self.colours = 1 if self._colouring is None else self._colouring.n_block_colours
+        self.subsets: list | None = None
 
         # (d) accounting constants: the interpreted path's exact counter
         # arithmetic, run once against a scratch register
@@ -318,6 +324,24 @@ class CompiledLoop:
         self.native = _native.try_compile_op2(kernel, args, backend, n, kernel.name)
         if self.native is not None:
             self.trace_attrs["native"] = True
+
+    def _vec_subsets(self) -> list:
+        """The vec gather/scatter schedule, built on first use.
+
+        A site the native tier runs never pays the argsort/segment set-up
+        nor holds the buffer arena; a decline, a ``storage rebound`` drop
+        or the ``openmp`` backend builds it on their first execute.
+        """
+        subsets = self.subsets
+        if subsets is None:
+            args, n, plan = self.args, self.n, self._colouring
+            if plan is not None:
+                elems = map(plan.elements_of_colour, range(plan.n_block_colours))
+                subsets = [_compile_subset(args, e, e.size) for e in elems if e.size]
+            else:
+                subsets = [_compile_subset(args, slice(0, n), n)] if n > 0 else []
+            self.subsets = subsets
+        return subsets
 
     def still_valid(self) -> bool:
         """True while the shapes/arrays the plan was built from are unchanged."""
@@ -353,6 +377,7 @@ class CompiledLoop:
             self.native = nat = None
             self.trace_attrs.pop("native", None)
             _native._fallback("op2", self.kernel.name, "storage rebound")
+        subsets = self._vec_subsets() if nat is None else ()
         trc = _trace.ACTIVE
         span = trc.begin("par_loop", "op2", **self.trace_attrs) if trc is not None else None
         try:
@@ -362,7 +387,7 @@ class CompiledLoop:
                     nat.execute()
                 else:
                     vec_func = self.kernel.vec_func
-                    for subset in self.subsets:
+                    for subset in subsets:
                         subset.run(vec_func)
         finally:
             if span is not None:

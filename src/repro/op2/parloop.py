@@ -102,13 +102,19 @@ def describe_args(args: list[Arg]) -> str:
 _unique_count_cache: dict[tuple, int] = {}
 
 
-def _unique_union(columns_key: tuple, columns, n: int) -> int:
-    """Distinct targets referenced by a group of map columns (cached)."""
+def _unique_union(columns_key: tuple, columns, n: int, rows: int) -> int:
+    """Distinct targets referenced by a group of map columns (cached).
+
+    Map entries lie in ``[0, rows)`` (checked when the Map is built), so a
+    seen-bitmap counts them in O(n) where ``np.unique`` sorts or hashes.
+    """
     key = (columns_key, n)
     count = _unique_count_cache.get(key)
     if count is None:
-        stacked = np.concatenate([c[:n] for c in columns])
-        count = int(np.unique(stacked).size)
+        seen = np.zeros(rows, dtype=bool)
+        for c in columns:
+            seen[c[:n]] = True
+        count = int(np.count_nonzero(seen))
         _unique_count_cache[key] = count
     return count
 
@@ -145,7 +151,7 @@ def _account(kernel: Kernel, n: int, args: list[Arg], counters: PerfCounters, co
             g["reads"] = g["reads"] or arg.access.reads
             g["writes"] = g["writes"] or arg.access.writes
     for g in groups.values():
-        unique = _unique_union(tuple(g["key"]), g["cols"], n)
+        unique = _unique_union(tuple(g["key"]), g["cols"], n, g["dat"].set.total_size)
         unique_bytes = unique * g["dat"].nbytes_per_elem
         if g["reads"]:
             rec.indirect_reads_unique += unique_bytes

@@ -42,7 +42,9 @@ class TestTimingReport:
         c.loop("other_loop").wall_seconds = 99.0
         text = timing_report(c, top=1)
         assert "other_loop" in text
-        assert "k_scale" not in text
+        # the loop's *row* is filtered; a compiler-free box still names it
+        # in the `declined` footer
+        assert not any(ln.startswith("k_scale") for ln in text.splitlines())
 
     def test_comm_line_when_present(self):
         c = self._run()

@@ -185,6 +185,46 @@ class TestIncScatterPlan:
         interpreted = _run_inc_loop(cols, vals, base, False)
         np.testing.assert_array_equal(compiled, interpreted)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 500), m=st.integers(1, 200), arity=st.integers(1, 3),
+        pool=st.integers(1, 40), frac=st.floats(0.01, 1.0), seed=st.integers(0, 2**16),
+    )
+    def test_bitmap_count_and_boundary_scan_equal_np_unique(
+        self, rows, m, arity, pool, frac, seed
+    ):
+        """The O(n) replacements for ``np.unique`` — a seen-bitmap for the
+        distinct-target count, a diff scan for the segment boundaries of
+        the sorted scatter column — on sparse targets and ``n`` < map rows."""
+        from repro.op2 import parloop
+
+        rng = np.random.default_rng(seed)
+        used = rng.choice(rows, size=min(pool, rows), replace=False)
+        values = used[rng.integers(0, used.size, (m, arity))].astype(np.int64)
+        n = max(1, int(frac * m))
+        cols = [values[:, j] for j in range(arity)]
+
+        parloop._unique_count_cache.clear()
+        want = np.unique(np.concatenate([c[:n] for c in cols])).size
+        assert parloop._unique_union(("probe",), cols, n, rows) == want
+        assert parloop._unique_count_cache[(("probe",), n)] == want
+
+        col = np.ascontiguousarray(values[:n, 0])
+        plan = op2_exec._segment_scatter(None, col, 1, np.float64)
+        perm = np.argsort(col, kind="stable")
+        targets, starts = np.unique(col[perm], return_index=True)
+        counts = np.diff(np.append(starts, n))
+        if counts.max() > op2_exec._MAX_SEGMENT_ROUNDS:
+            assert plan[0] == op2_exec._S_INC_ADD_AT
+            return
+        order = np.argsort(-counts, kind="stable")
+        np.testing.assert_array_equal(plan[2], perm)
+        np.testing.assert_array_equal(plan[3], targets[order])
+        assert len(plan[4]) == counts.max()
+        for k, (n_k, src) in enumerate(plan[4]):
+            assert n_k == np.count_nonzero(counts > k)
+            np.testing.assert_array_equal(src, starts[order][:n_k] + k)
+
     def test_degenerate_segment_falls_back_to_add_at(self):
         # >64 contributions onto one target: the plan must pick the add.at
         # opcode and still match exactly
@@ -213,6 +253,22 @@ def _direct_loop_site():
 
 
 class TestOp2Registry:
+    @pytest.mark.parametrize("backend", ["vec", "openmp"])
+    def test_vec_schedule_is_cut_on_first_non_native_execute(self, backend):
+        """A plan builds only the tier it runs: looking a site up cuts no
+        gather/scatter schedule; the first execute without a native kernel
+        (lambda kernels never compile) does, once."""
+        _fresh_caches()
+        nodes, x, k = _direct_loop_site()
+        plan = op2_exec.lookup(k, nodes, (x(op2.RW),), backend, nodes.size)
+        assert plan.native is None and plan.subsets is None
+        plan.execute()
+        cut = plan.subsets
+        assert len(cut) == 1 and cut[0].n == nodes.size
+        plan.execute()
+        assert plan.subsets is cut
+        np.testing.assert_array_equal(x.data[:, 0], np.arange(16.0) * 4.0)
+
     def test_miss_then_hits(self):
         nodes, x, k = _direct_loop_site()
         s0 = op2_exec.plan_cache_stats()

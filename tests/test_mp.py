@@ -259,6 +259,32 @@ class TestDiffBattery:
 
         _mp_vs_inproc(run).assert_agree()
 
+    @requires_cc
+    def test_airfoil_native_vs_vec_inside_workers(self):
+        """`update` stages its global INC in each forked worker; the rms the
+        allreduce returns is bitwise the vec tier's."""
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+
+        def run(mode):
+            _clear_plans()
+            mesh = generate_mesh(12, 8, jitter=0.1)
+            app = AirfoilApp(mesh)
+            pm = app.build_partitioned(2, "block")
+
+            def main(comm):
+                rms = app.run_distributed(comm, pm, 2)
+                return rms, pm.local(comm.rank).gather_dat(comm, mesh.q)
+
+            counters = PerfCounters()
+            with counters_scope(counters), swap(native=(mode == "native")):
+                rms, q = run_spmd_mp(2, main)[0]
+            if mode == "native":  # the workers' counters came home
+                assert counters.native_calls > 0 and not counters.native_declines
+            return {"q": q, "rms": np.asarray([rms])}
+
+        diff_backends(run, ["vec", "native"], reference="vec", trace=False).assert_agree()
+
     @pytest.mark.parametrize("nranks", RANKS)
     def test_cloverleaf(self, nranks):
         from repro.apps.cloverleaf import clover_bm_state

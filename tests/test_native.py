@@ -186,6 +186,26 @@ class TestDiffBatteryRank4:
 
         _native_vs_vec(run, trace=False).assert_agree()
 
+    @requires_cc
+    @pytest.mark.parametrize("nranks", [1, 4])
+    def test_airfoil_distributed_update_is_native(self, nranks):
+        """`update` stages its global INC per rank before the allreduce:
+        every rank's plan runs compiled and rms stays the vec tier's bits."""
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+        from repro.op2 import execplan
+
+        def run():
+            mesh = generate_mesh(10, 8, jitter=0.1)
+            app = AirfoilApp(mesh)
+            pm = app.build_partitioned(nranks, "block")
+            rms = run_spmd(nranks, lambda comm: app.run_distributed(comm, pm, 3))
+            return {"rms": np.asarray(rms), "q": mesh.q.data}
+
+        _native_vs_vec(run, trace=False).assert_agree()
+        updates = [p for p in execplan._registry.values() if p.kernel.name == "update"]
+        assert len(updates) == nranks and all(p.native is not None for p in updates)
+
     @pytest.mark.parametrize("app", ["sod", "multiblock"])
     def test_decomposed_stencil_rank4(self, app):
         """sod/multiblock have no distributed driver; their rank-4 leg runs
@@ -393,6 +413,308 @@ class TestRangeParametricPlan:
 
 
 # ---------------------------------------------------------------------------
+# staged sums: C fills the stage, NumPy's own reducer folds it
+# ---------------------------------------------------------------------------
+
+
+def _ginc_direct(x, s1, s2, s3, lo, hi):
+    s1[0] += x[0] * x[1]
+    s1[0] += x[1]
+    for c in range(2):
+        s2[c] += x[c] * x[c]
+    s3[0] += x[0]
+    s3[2] += x[0] / 3.0
+    s3[2] += x[1] * 0.1
+    lo[0] = min(lo[0], x[0])
+    hi[0] = max(hi[0], x[1])
+
+
+def _ginc_indirect(xa, xb, acc, s1, s2, s3, lo):
+    d = xa[0] - xb[1]
+    acc[0] += d
+    s1[0] += d * d
+    s1[0] += xb[0]
+    for c in range(2):
+        s2[c] += xa[c] * d
+    s3[1] += d
+    s3[1] += d * 0.25
+    lo[0] = min(lo[0], d)
+
+
+GINC_SIZES = [*range(1, 10), 127, 128, 129, 1000, 4097]
+
+
+def _run_ginc(indirect: bool, n: int, seed: int, native: bool):
+    """One loop with dim-1/2/3 global INCs beside MIN/MAX globals."""
+    from repro import op2
+
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over 16 decades: any reordering of the sum shows
+    x0 = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 8, (n, 2))
+    init = rng.standard_normal(8)
+    elems = op2.Set(n, "elems")
+    gl = [op2.Global(d, init[:d] * (d + 1), name=f"s{d}") for d in (1, 2, 3)]
+    lo = op2.Global(1, [init[6]], name="lo")
+    hi = op2.Global(1, [init[7]], name="hi")
+    out = {}
+    _clear_plans()
+    counters = PerfCounters()
+    with counters_scope(counters), swap(native=native):
+        if indirect:
+            nodes = op2.Set(max(2, n // 3), "nodes")
+            x = op2.Dat(nodes, 2, np.resize(x0, (nodes.size, 2)), name="x")
+            acc = op2.Dat(nodes, 1, name="acc")
+            e2n = op2.Map(elems, nodes, 2, rng.integers(0, nodes.size, (n, 2)), "e2n")
+            k = op2.Kernel(_ginc_indirect, "ginc_indirect")
+            for _ in range(2):  # the second call starts from non-trivial sums
+                op2.par_loop(
+                    k, elems, x(op2.READ, e2n, 0), x(op2.READ, e2n, 1),
+                    acc(op2.INC, e2n, 0), *(g(op2.INC) for g in gl), lo(op2.MIN),
+                    backend="vec",
+                )
+            out["acc"] = acc.data.copy()
+        else:
+            x = op2.Dat(elems, 2, x0, name="x")
+            k = op2.Kernel(_ginc_direct, "ginc_direct")
+            for _ in range(2):
+                op2.par_loop(
+                    k, elems, x(op2.READ), *(g(op2.INC) for g in gl),
+                    lo(op2.MIN), hi(op2.MAX), backend="vec",
+                )
+    for g in (*gl, lo, hi):
+        out[g.name] = g.data.copy()
+    return out, counters
+
+
+class TestStagedGlobalInc:
+    @requires_cc
+    @pytest.mark.parametrize("indirect", [False, True], ids=["direct", "indirect"])
+    def test_native_equals_vec_bitwise(self, indirect):
+        @settings(max_examples=20, deadline=None)
+        @given(n=st.sampled_from(GINC_SIZES), seed=st.integers(0, 2**16))
+        def prop(n, seed):
+            got, counters = _run_ginc(indirect, n, seed, native=True)
+            want, _ = _run_ginc(indirect, n, seed, native=False)
+            assert counters.native_calls == 2 and not counters.native_declines
+            for name, arr in want.items():
+                np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+        prop()
+
+    def test_stage_is_not_scattered(self):
+        """A ginc slot is zeroed and filled like an INC buffer, but phase B
+        leaves it alone — the plan layer sums it."""
+
+        def k(x, s):
+            s[0] += x[0]
+            s[0] += x[0] * x[0]
+
+        code = ncgen.generate_op2(k, [("direct", 1, "READ"), ("ginc", 1)], "gi")
+        assert code.scratch_spec == ((1, 1),)
+        assert code.ptr_spec == (("dat", 0), ("scratch", 1))
+        assert "S1[e * 1 + 0] = 0.0;" in code.source
+        assert code.source.count("S1[e * 1 + 0] +=") == 2
+        assert "w1" not in code.source and not code.red_spec
+
+    @requires_cc
+    def test_rebound_global_drops_native_tier(self):
+        from repro import op2
+
+        def run(native):
+            _clear_plans()
+            elems = op2.Set(40, "elems")
+            x = op2.Dat(elems, 2, np.random.default_rng(5).random((40, 2)), name="x")
+            gl = [op2.Global(d, name=f"s{d}") for d in (1, 2, 3)]
+            lo, hi = op2.Global(1, [9.0], name="lo"), op2.Global(1, [-9.0], name="hi")
+            k = op2.Kernel(_ginc_direct, "ginc_direct")
+            counters = PerfCounters()
+            with counters_scope(counters), swap(native=native):
+                for rebind in (False, True, False):
+                    if rebind:
+                        gl[1].data = gl[1].data.copy()
+                    op2.par_loop(
+                        k, elems, x(op2.READ), *(g(op2.INC) for g in gl),
+                        lo(op2.MIN), hi(op2.MAX), backend="vec",
+                    )
+            return [g.data.copy() for g in (*gl, lo, hi)], counters
+
+        want, _ = run(False)
+        got, counters = run(True)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert counters.native_calls == 1
+        assert counters.native_declines == {("op2", "ginc_direct"): "storage rebound"}
+
+    def test_global_written_twice_declines(self):
+        from repro import op2
+
+        def k(x, s, t):
+            s[0] += x[0]
+            t[0] += x[0]
+
+        _clear_plans()
+        elems = op2.Set(8, "elems")
+        x = op2.Dat(elems, 1, np.arange(8.0), name="x")
+        g = op2.Global(1, name="g")
+        counters = PerfCounters()
+        with counters_scope(counters), swap(native=True):
+            op2.par_loop(op2.Kernel(k, "twice"), elems, x(op2.READ),
+                         g(op2.INC), g(op2.INC), backend="vec")
+        assert g.value == 56.0 and counters.native_calls == 0
+        assert counters.native_declines == {
+            ("op2", "twice"): "global written through several arguments"}
+
+
+def _summary(a, b, total, weighted, lo):
+    w = a[0, 0] * b[0, 0]
+    total.inc(w)
+    weighted.inc(w * 0.5 + a[1, 0])
+    total.inc(b[0, 0] - w)
+    lo.min(w)
+
+
+class TestStagedOpsInc:
+    @requires_cc
+    @pytest.mark.parametrize("backend", ["vec", "tiled"])
+    def test_native_equals_vec_bitwise(self, backend):
+        """One sweep per ``.inc()`` call, folded by ``Reduction.inc`` itself
+        in call order — per tile on ``tiled``, exactly as vec does."""
+
+        def run(native):
+            _clear_plans()
+            blk = ops.Block(2)
+            a = ops.Dat(blk, (37, 29), halo_depth=1, name="a")
+            b = ops.Dat(blk, (37, 29), halo_depth=1, name="b")
+            rng = np.random.default_rng(2)
+            a.data[...] = rng.standard_normal(a.data.shape) * 1e6
+            b.data[...] = rng.standard_normal(b.data.shape)
+            total = ops.Reduction("inc", initial=0.125)
+            weighted, lo = ops.Reduction("inc"), ops.Reduction("min")
+            counters = PerfCounters()
+            with counters_scope(counters), swap(native=native):
+                for _ in range(2):
+                    ops.par_loop(
+                        _summary, blk, [(0, 36), (2, 29)], a(ops.READ, ops.S2D_5PT),
+                        b(ops.READ), total, weighted, lo,
+                        backend=backend, tile_shape=(16, 8),
+                    )
+            return (total.value, weighted.value, lo.value), counters
+
+        want, _ = run(False)
+        got, counters = run(True)
+        assert got == want
+        assert counters.native_calls == 2 and not counters.native_declines
+
+    def test_unstageable_folds_decline(self):
+        scale = 2.0
+
+        def scalar_only(a, t):
+            t.inc(scale * 3.0)  # np.sum adds this once, not once per point
+
+        def bare_view(a, t):
+            t.inc(a[0])  # np.sum walks the strided view in another order
+
+        def under_branch(a, t):
+            if scale > 1.0:
+                t.inc(a[0] * scale)
+
+        def writes_too(a, t):
+            a[0] = a[0] * scale  # one sweep per fold would scale it again
+            t.inc(a[0] * scale)
+
+        def view_or_not(a, t):
+            w = a[0]
+            if scale > 1.0:
+                w = a[0] * scale
+            t.inc(w)  # a view unless the branch ran
+
+        for kernel, writes, reason in [
+            (scalar_only, False, "reads no dat"), (bare_view, False, "dat view"),
+            (under_branch, False, "under control flow"),
+            (writes_too, True, "writes a dat"), (view_or_not, False, "dat view"),
+        ]:
+            with pytest.raises(ncgen.Untranslatable, match=reason):
+                ncgen.generate_ops(kernel, [("dat", writes), ("red", "inc")], 1, "inc")
+
+
+class TestConstantFlags:
+    ARGSPECS = [("dat", False)] * 4 + [("dat", True)] * 2
+
+    def test_advec_flags_share_one_source(self):
+        from repro.apps.cloverleaf.kernels import make_advec_cell_x_kernel
+
+        first, second = (
+            ncgen.generate_ops(
+                make_advec_cell_x_kernel(0.1, 0.2, first=flag), self.ARGSPECS, 2, "advec")
+            for flag in (True, False)
+        )
+        assert first.source == second.source
+        assert "=first" in first.const_names and "cv[" in first.source
+
+    @requires_cc
+    def test_flag_values_match_vec_and_share_one_object(self):
+        def run(native):
+            _clear_plans()
+            counters = PerfCounters()
+            out = []
+            with counters_scope(counters), swap(native=native):
+                for flag in (True, False):
+                    def k(a, b):
+                        b[0] = a[0] * flag + (a[0] if flag else -a[0]) - flag
+
+                    blk = ops.Block(1)
+                    a = ops.Dat(blk, 16, halo_depth=1, name="a")
+                    b = ops.Dat(blk, 16, halo_depth=1, name="b")
+                    a.interior[...] = np.linspace(0.5, 2.0, 16)
+                    ops.par_loop(k, blk, [(0, 16)], a(ops.READ), b(ops.WRITE),
+                                 backend="vec")
+                    out.append(b.interior.copy())
+            return out, counters
+
+        want, _ = run(False)
+        got, counters = run(True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert not np.array_equal(got[0], got[1])
+        assert counters.native_calls == 2
+        assert (counters.native_compiles, counters.native_cache_hits) == (1, 1)
+
+    def test_array_flag_still_declines(self):
+        flag = np.ones(3, dtype=bool)
+
+        def k(a, b):
+            b[0] = a[0] if flag else -a[0]
+
+        with pytest.raises(ncgen.Untranslatable,
+                           match="free name 'flag' is not a numeric scalar"):
+            ncgen.generate_ops(k, [("dat", False), ("dat", True)], 1, "flag")
+
+
+class TestBundledAppsFullyNative:
+    @requires_cc
+    def test_no_loop_of_airfoil_or_cloverleaf_declines(self):
+        """Native coverage 1.0: a decline on a bundled loop halves that
+        loop's throughput, so it must fail here, not pass silently."""
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+        from repro.apps.cloverleaf import CloverLeafApp
+
+        _clear_plans()
+        counters = PerfCounters()
+        with counters_scope(counters), swap(native=True):
+            AirfoilApp(generate_mesh(8, 6, jitter=0.1), backend="vec").run(2)
+            CloverLeafApp(nx=12, ny=10, backend="vec").run(2)
+        assert counters.native_declines == {}
+        assert counters.native_fallbacks == 0 and counters.native_calls > 0
+        assert "declined" not in timing_report(counters)
+        # ... and a natively-run op2 site never cut its vec schedule
+        from repro.op2 import execplan
+
+        plans = list(execplan._registry.values())
+        assert plans and all(p.native is not None and p.subsets is None for p in plans)
+
+
+# ---------------------------------------------------------------------------
 # graceful degradation: every refusal path falls back to identical results
 # ---------------------------------------------------------------------------
 
@@ -569,11 +891,25 @@ class TestCodegen:
         assert code.const_names == ("=dt",)
 
     def test_inc_reduction_declined(self):
+        """Only a *computed* value is staged: a bare view is summed by NumPy
+        in strided order, which a dense stage would not reproduce."""
         def k(a, t):
             t.inc(a[0])
 
-        with pytest.raises(ncgen.Untranslatable, match="pairwise"):
+        with pytest.raises(ncgen.Untranslatable, match="dat view"):
             ncgen.generate_ops(k, [("dat", False), ("red", "inc")], 1, "inc")
+
+    def test_inc_reduction_one_sweep_per_call(self):
+        def k(a, t, u):
+            t.inc(a[0] * 2.0)
+            u.inc(a[0] + a[1])
+            t.inc(a[0] * a[0])
+
+        code = ncgen.generate_ops(
+            k, [("dat", False), ("red", "inc"), ("red", "inc")], 1, "inc")
+        assert code.ptr_spec == (("dat", 0), ("stage", None))
+        assert code.stage_args == (1, 2, 1) and not code.red_spec
+        assert "if (sel == 2) q[i0] =" in code.source
 
     def test_transcendental_declined(self):
         def k(a, b):
