@@ -64,7 +64,6 @@ class CheckpointManager:
         frequency: int | None = None,
         speculative: bool = False,
         on_complete: Any = None,
-        job_id: str | None = None,
     ):
         self.store = store if store is not None else MemoryStore()
         self.frequency = frequency
@@ -72,11 +71,6 @@ class CheckpointManager:
         #: called with the manager when a checkpoint round reaches COMPLETE;
         #: typically flushes the store and calls :meth:`restart`
         self.on_complete = on_complete
-        #: namespace for on-disk rounds: a process running several jobs
-        #: (concurrently, or a preempted job alongside its successor) gives
-        #: each one a distinct job_id so their FileStore rounds cannot
-        #: collide (see :func:`repro.checkpoint.store.round_path`)
-        self.job_id = job_id
         self.state = self.OBSERVING
         self.loop_index = 0
         self.history: list[ChainLoop] = []
@@ -174,10 +168,7 @@ class CheckpointManager:
         self.store.set_entry(self.loop_index)
         trc = _trace.ACTIVE
         if trc is not None:
-            attrs = {"loop_index": self.loop_index}
-            if self.job_id is not None:
-                attrs["job"] = self.job_id
-            trc.instant("checkpoint_enter", "checkpoint", **attrs)
+            trc.instant("checkpoint_enter", "checkpoint", loop_index=self.loop_index)
         # datasets never written before the entry point still hold their
         # initial (input-file) values at recovery fast-forward time, so they
         # need no saving regardless of what happens later

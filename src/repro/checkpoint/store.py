@@ -51,46 +51,29 @@ class MemoryStore:
         return best
 
 
-def round_path(
-    ckpt_dir: str | Path, rank: int, round_no: int, *, job_id: str | None = None
-) -> Path:
-    """Canonical path of one rank's checkpoint round, optionally job-scoped.
-
-    Without a ``job_id`` this is the historical single-run layout
-    (``ckpt-r000-n0000.npz``).  With one, rounds are namespaced
-    (``ckpt-j<job>-r000-n0000.npz``) so concurrent or preempted jobs sharing
-    a checkpoint directory can never collide — the serving layer runs many
-    jobs against one FileStore tree.
-    """
-    prefix = f"ckpt-j{job_id}-" if job_id is not None else "ckpt-"
-    return Path(ckpt_dir) / f"{prefix}r{rank:03d}-n{round_no:04d}.npz"
+def round_path(ckpt_dir: str | Path, rank: int, round_no: int) -> Path:
+    """Canonical path of one rank's checkpoint round (``ckpt-r000-n0000.npz``)."""
+    return Path(ckpt_dir) / f"ckpt-r{rank:03d}-n{round_no:04d}.npz"
 
 
-def round_glob(ckpt_dir: str | Path, *, job_id: str | None = None):
-    """All round files in ``ckpt_dir`` belonging to one namespace."""
-    prefix = f"ckpt-j{job_id}-" if job_id is not None else "ckpt-"
-    for p in Path(ckpt_dir).glob(f"{prefix}r*-n*.npz"):
-        # the un-namespaced glob must not swallow namespaced files
-        if job_id is None and p.name.startswith("ckpt-j"):
-            continue
-        yield p
+def round_glob(ckpt_dir: str | Path):
+    """All round files in ``ckpt_dir``."""
+    return Path(ckpt_dir).glob("ckpt-r*-n*.npz")
 
 
-def latest_common_round(
-    ckpt_dir: str | Path, nranks: int, *, job_id: str | None = None
-) -> tuple[int, int] | None:
+def latest_common_round(ckpt_dir: str | Path, nranks: int) -> tuple[int, int] | None:
     """Newest round flushed by every rank, as (round_no, entry_index).
 
-    Rounds whose per-rank entry indices disagree (a crash or preemption
+    Rounds whose per-rank entry indices disagree (a crash
     interleaved two rounds) are skipped in favour of an older consistent
     one; torn files likewise fall back.  Returns None when no round is
     complete across all ranks — recovery then starts from scratch.
     """
     rounds: set[int] = set()
-    for p in round_glob(ckpt_dir, job_id=job_id):
+    for p in round_glob(ckpt_dir):
         rounds.add(int(p.stem.split("-n")[1]))
     for round_no in sorted(rounds, reverse=True):
-        paths = [round_path(ckpt_dir, r, round_no, job_id=job_id) for r in range(nranks)]
+        paths = [round_path(ckpt_dir, r, round_no) for r in range(nranks)]
         if not all(p.exists() for p in paths):
             continue
         entries = []

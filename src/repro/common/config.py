@@ -3,8 +3,8 @@
 Kept intentionally tiny: a plain dataclass instance that subsystems read at
 call time, so tests can flip flags with ``swap()``.  Fields marked with an
 environment variable below are initialised from the process environment, so
-deployments (the serving layer in particular) can size caches without code
-changes; :func:`configure` applies persistent in-process overrides on top.
+deployments can size caches without code changes; :func:`configure` applies
+persistent in-process overrides on top.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class Config:
     #: maximum number of compiled loops kept per registry (LRU eviction).
     #: Default 512 plans per registry (op2 and ops each keep their own);
     #: override per process with ``REPRO_EXECPLAN_CACHE_SIZE`` or at runtime
-    #: with :func:`configure` / ``op2.set_plan_cache_capacity`` — the serving
-    #: layer sizes this to hold every tenant's warm plans simultaneously
+    #: with :func:`configure` / ``op2.set_plan_cache_capacity``
     execplan_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_EXECPLAN_CACHE_SIZE", 512)
     )

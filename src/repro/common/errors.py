@@ -115,29 +115,3 @@ class TranslatorError(ReproError):
 
 class TelemetryError(ReproError):
     """Invalid use of the tracing API (mismatched span exit, bad trace file)."""
-
-
-class ServeError(ReproError):
-    """Invalid use of the serving layer (bad job spec, illegal transition)."""
-
-
-class AdmissionRejected(ServeError):
-    """Base class for typed backpressure: the queue refused a submission.
-
-    Carries the structured context (``tenant``, ``limit``, ``depth``) so
-    clients can implement retry/backoff without parsing messages.
-    """
-
-    def __init__(self, message: str, *, tenant: str, limit: int, depth: int):
-        super().__init__(message)
-        self.tenant = tenant
-        self.limit = limit
-        self.depth = depth
-
-
-class QueueFullRejected(AdmissionRejected):
-    """The global queue depth limit was reached (whole-service backpressure)."""
-
-
-class TenantQuotaRejected(AdmissionRejected):
-    """One tenant's pending-job quota was reached (per-tenant fair admission)."""

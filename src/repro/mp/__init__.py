@@ -15,13 +15,15 @@
   ``multiprocessing.shared_memory`` segments so worker writes are visible
   to the parent.
 * :func:`run_resilient_spmd_mp` — checkpoint-restart over real worker
-  deaths (SIGKILL a live rank; recover bitwise-identically).
+  deaths (SIGKILL a live rank; recover bitwise-identically); it shares
+  :mod:`repro.resilience.driver`'s restart loop with the threaded
+  :func:`~repro.resilience.run_resilient_spmd` and only swaps the launcher.
 """
 
 from repro.mp.executor import MpWorld, run_spmd_mp
-from repro.mp.resilient import run_resilient_spmd_mp
 from repro.mp.shm import DatArena, restore, snapshot
 from repro.mp.transport import FailedFlags, ProcessTransport
+from repro.resilience.driver import run_resilient_spmd_mp
 
 __all__ = [
     "MpWorld",

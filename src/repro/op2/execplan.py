@@ -496,8 +496,7 @@ def set_plan_cache_capacity(limit: int) -> None:
     """Resize the per-process plan LRU (persistently; evicts down to fit).
 
     The default capacity is 512 compiled loops (``Config.execplan_cache_size``,
-    overridable at startup with ``REPRO_EXECPLAN_CACHE_SIZE``); the serving
-    layer calls this so one process can hold every tenant's warm plans.
+    overridable at startup with ``REPRO_EXECPLAN_CACHE_SIZE``).
     """
     if limit < 1:
         raise ValueError("plan cache capacity must be >= 1")

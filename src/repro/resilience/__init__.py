@@ -8,9 +8,10 @@ Three layers over the simulated MPI runtime:
 * :mod:`repro.resilience.detection` — :class:`RetryPolicy` backoff for
   transient faults; hard failures surface as
   :class:`~repro.common.errors.RankFailedError` in peers;
-* :mod:`repro.resilience.driver` — :func:`run_resilient_spmd`, the
-  automatic checkpoint-restart loop over :func:`repro.simmpi.run_spmd`
-  and the checkpoint subsystem.
+* :mod:`repro.resilience.driver` — the automatic checkpoint-restart loop
+  over the checkpoint subsystem, launched on threads by
+  :func:`run_resilient_spmd` or on forked workers by
+  :func:`repro.mp.run_resilient_spmd_mp`.
 """
 
 from repro.common.errors import (

@@ -1,12 +1,14 @@
-"""Automatic checkpoint-restart driver for simulated SPMD jobs.
+"""Automatic checkpoint-restart driver for SPMD jobs.
 
-:func:`run_resilient_spmd` composes three existing pieces into a fault-
-tolerant execution loop:
+One restart loop serves two executors: :func:`run_resilient_spmd` runs the
+ranks as threads under :func:`repro.simmpi.run_spmd` (an optional
+:class:`~repro.resilience.faults.FaultPlan` injects failures), and
+:func:`run_resilient_spmd_mp` runs them as forked workers under
+:func:`repro.mp.run_spmd_mp` (failures are real deaths).  Only the launcher
+that builds each attempt's world differs; the loop composes:
 
-* :func:`repro.simmpi.run_spmd` executes the job, with an optional
-  :class:`~repro.resilience.faults.FaultPlan` injecting failures;
 * one :class:`~repro.checkpoint.manager.CheckpointManager` per rank
-  (installed as a thread-local loop observer) writes coordinated rounds of
+  (installed as a rank-local loop observer) writing coordinated rounds of
   :class:`~repro.checkpoint.store.FileStore` checkpoints every
   ``frequency`` loops;
 * after a detected failure the world is torn down, job state rebuilt, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.checkpoint.manager import CheckpointManager, RecoveryReplayer
 from repro.checkpoint.store import FileStore, latest_common_round, round_glob, round_path
@@ -78,12 +80,6 @@ class ResilientResult:
     counters: PerfCounters  #: aggregate over all attempts, incl. resilience counters
 
 
-# the round-file layout now lives in repro.checkpoint.store (shared with
-# repro.serve); these aliases keep the driver's historical private surface
-_round_path = round_path
-_latest_common_round = latest_common_round
-
-
 def run_resilient_spmd(
     nranks: int,
     job: SpmdJob,
@@ -93,48 +89,107 @@ def run_resilient_spmd(
     plan: FaultPlan | None = None,
     retry: RetryPolicy | None = RetryPolicy(),
     max_restarts: int = 3,
-    job_id: str | None = None,
 ) -> ResilientResult:
     """Run ``job`` over ``nranks`` simulated ranks, surviving injected failures.
 
     ``frequency`` is the checkpoint cadence in loops (None disables
     checkpointing, so every restart replays from scratch).  ``plan`` injects
     faults; ``retry`` masks transient message drops at the send site.
-    ``job_id`` namespaces the on-disk rounds so several jobs can share one
-    checkpoint directory (stale files from *other* namespaces are left
-    alone).  Raises :class:`ResilienceError` once ``max_restarts`` is
-    exceeded, and re-raises immediately on non-simulated (organic) errors.
+    Raises :class:`ResilienceError` once ``max_restarts`` is exceeded, and
+    re-raises immediately on non-simulated (organic) errors.
     """
-    ckpt_dir = Path(ckpt_dir)
+
+    def launch(state, attempt):
+        world = World(nranks, fault_plan=plan, retry=retry)
+        if plan is not None:
+            plan.begin_attempt()
+        return world, lambda body: run_spmd(nranks, body, world=world)
+
+    return _restart_loop(nranks, job, Path(ckpt_dir), frequency, max_restarts, launch)
+
+
+def run_resilient_spmd_mp(
+    nranks: int,
+    job: SpmdJob,
+    *,
+    ckpt_dir: str | Path,
+    frequency: int | None = None,
+    max_restarts: int = 3,
+    share_dats: bool = True,
+    on_attempt_start: Callable[[int, list[int]], None] | None = None,
+) -> ResilientResult:
+    """Run ``job`` over ``nranks`` worker processes, surviving real deaths.
+
+    The multi-process twin of :func:`run_resilient_spmd`: a SIGKILLed
+    worker surfaces as a :class:`~repro.common.errors.WorkerDiedError` and
+    the world restarts from the latest round on shared disk.  Managers and
+    replayers are installed inside each forked worker, so loop observers
+    stay process-local.  ``share_dats`` moves every rank's checkpoint
+    datasets onto shared-memory segments for the run.  ``on_attempt_start``
+    receives ``(attempt_number, worker_pids)`` once an attempt's ranks are
+    forked — the hook resilience tests use to aim a SIGKILL at a live
+    worker.
+    """
+    from repro.mp.executor import MpWorld, run_spmd_mp
+
+    def launch(state, attempt):
+        world = MpWorld(nranks)
+        shared = [
+            d for r in range(nranks) for d in job.datasets(r, state).values()
+        ] if share_dats else []
+        on_start = None
+        if on_attempt_start is not None:
+            def on_start(pids):
+                on_attempt_start(attempt, pids)
+
+        return world, lambda body: run_spmd_mp(
+            nranks, body, world=world, shared_dats=shared or None, on_start=on_start,
+        )
+
+    return _restart_loop(nranks, job, Path(ckpt_dir), frequency, max_restarts, launch)
+
+
+def _restart_loop(
+    nranks: int,
+    job: SpmdJob,
+    ckpt_dir: Path,
+    frequency: int | None,
+    max_restarts: int,
+    launch: Callable,
+) -> ResilientResult:
+    """Attempt, classify the failure, recover from the latest round, retry.
+
+    ``launch(state, attempt)`` builds one attempt's world and returns
+    ``(world, run)``; ``run(rank_body)`` executes the ranks and returns
+    their results.
+    """
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    for stale in round_glob(ckpt_dir, job_id=job_id):
+    for stale in round_glob(ckpt_dir):
         stale.unlink()
 
     aggregate = PerfCounters()
     restarts = 0
     recovered_rounds: list[int] = []
-    next_round: dict[int, int] = {}
 
     while True:
         attempt_start = time.perf_counter()
         state = job.setup()
-        recovery = latest_common_round(ckpt_dir, nranks, job_id=job_id) if restarts else None
+        recovery = latest_common_round(ckpt_dir, nranks) if restarts else None
         # a crash can leave ranks with different flushed-round counts; restart
         # the numbering past every existing file so rank rounds stay aligned
         # (round k always means the same entry loop on every rank)
-        existing = [int(p.stem.split("-n")[1]) for p in round_glob(ckpt_dir, job_id=job_id)]
+        existing = [int(p.stem.split("-n")[1]) for p in round_glob(ckpt_dir)]
         base = max(existing) + 1 if existing else 0
-        next_round.update({r: base for r in range(nranks)})
-        world = World(nranks, fault_plan=plan, retry=retry)
-        if plan is not None:
-            plan.begin_attempt()
+        next_round = {r: base for r in range(nranks)}
 
-        def rank_body(comm, _state=state, _recovery=recovery):
+        def rank_body(comm, _state=state, _recovery=recovery, _next=next_round):
+            # runs on the rank's thread or inside its forked worker: observers
+            # and stores stay rank-local, only the flushed .npz files are shared
             rank = comm.rank
             replayer = None
             manager = None
             if _recovery is not None:
-                store = FileStore.load(round_path(ckpt_dir, rank, _recovery[0], job_id=job_id))
+                store = FileStore.load(round_path(ckpt_dir, rank, _recovery[0]))
                 replayer = RecoveryReplayer(
                     store, job.datasets(rank, _state), job.globals_(rank, _state)
                 )
@@ -142,17 +197,16 @@ def run_resilient_spmd(
             if frequency is not None:
 
                 def flush_round(mgr, _rank=rank):
-                    round_no = next_round[_rank]
-                    mgr.store.path = round_path(ckpt_dir, _rank, round_no, job_id=job_id)
+                    round_no = _next[_rank]
+                    mgr.store.path = round_path(ckpt_dir, _rank, round_no)
                     mgr.store.flush()
-                    next_round[_rank] = round_no + 1
-                    mgr.restart(FileStore(round_path(ckpt_dir, _rank, round_no + 1, job_id=job_id)))
+                    _next[_rank] = round_no + 1
+                    mgr.restart(FileStore(round_path(ckpt_dir, _rank, round_no + 1)))
 
                 manager = CheckpointManager(
-                    FileStore(round_path(ckpt_dir, rank, next_round[rank], job_id=job_id)),
+                    FileStore(round_path(ckpt_dir, rank, _next[rank])),
                     frequency=frequency,
                     on_complete=flush_round,
-                    job_id=job_id,
                 )
                 if replayer is not None:
                     # carry the recovered global series into the new round so
@@ -169,20 +223,21 @@ def run_resilient_spmd(
                 if replayer is not None:
                     replayer.remove()
 
+        world, run = launch(state, restarts + 1)
         try:
-            results = run_spmd(nranks, rank_body, world=world)
+            results = run(rank_body)
         except (RuntimeError, ResilienceError, DeadlockError) as err:
             aggregate.merge(world.total_counters())
             cause = err.__cause__ if isinstance(err, RuntimeError) else err
             if not isinstance(cause, (ResilienceError, DeadlockError)):
-                raise  # an organic bug, not a simulated failure
+                raise  # an organic bug, not a simulated failure or worker death
             restarts += 1
             aggregate.record_restart(time.perf_counter() - attempt_start)
             if restarts > max_restarts:
                 raise ResilienceError(
                     f"giving up after {max_restarts} restart(s); last failure: {cause}"
                 ) from err
-            available = latest_common_round(ckpt_dir, nranks, job_id=job_id)
+            available = latest_common_round(ckpt_dir, nranks)
             recovered_rounds.append(available[0] if available is not None else -1)
             trc = _trace.ACTIVE
             if trc is not None:

@@ -493,6 +493,57 @@ class TestResizeEvictionAccounting:
         assert s1["evictions"] - s0["evictions"] == counters.plan_evictions == len(evicted) == 2
 
 
+_REGISTRIES = {"op2": (op2, op2_exec.plan_cache_stats), "ops": (ops, ops_exec.plan_cache_stats)}
+
+
+class TestPlanCacheCapacity:
+    """``REPRO_EXECPLAN_CACHE_SIZE`` parsing and the resize API, per registry."""
+
+    def teardown_method(self):
+        from repro.common.config import Config, configure
+
+        configure(execplan_cache_size=Config().execplan_cache_size)
+
+    @pytest.mark.parametrize("api", sorted(_REGISTRIES))
+    def test_env_var_default(self, api, monkeypatch):
+        from repro.common.config import Config, get_config
+
+        mod, _ = _REGISTRIES[api]
+        for raw, expected in (("7", 7), ("garbage", 512), (None, 512)):
+            if raw is None:
+                monkeypatch.delenv("REPRO_EXECPLAN_CACHE_SIZE")
+            else:
+                monkeypatch.setenv("REPRO_EXECPLAN_CACHE_SIZE", raw)
+            assert Config().execplan_cache_size == expected  # bad values ignored
+            mod.set_plan_cache_capacity(Config().execplan_cache_size)
+            assert get_config().execplan_cache_size == expected
+
+    @pytest.mark.parametrize("api", sorted(_REGISTRIES))
+    def test_api_rejects_nonsense(self, api):
+        mod, _ = _REGISTRIES[api]
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                mod.set_plan_cache_capacity(bad)
+
+    @pytest.mark.parametrize("api", sorted(_REGISTRIES))
+    def test_capacity_shrink_evicts_now(self, api):
+        from repro.common.config import get_config
+
+        mod, stats = _REGISTRIES[api]
+        _fresh_caches()
+        if api == "op2":
+            AirfoilApp(generate_mesh(4, 3), backend="vec").run(2)
+        else:
+            CloverLeafApp(nx=6, ny=4, backend="vec").run(1)
+        before = stats()
+        assert before["size"] > 1
+        mod.set_plan_cache_capacity(1)
+        after = stats()
+        assert after["size"] == 1
+        assert after["evictions"] > before["evictions"]
+        assert get_config().execplan_cache_size == 1
+
+
 class TestPlanCounters:
     def test_hit_rate_after_warmup_exceeds_99_percent(self):
         _fresh_caches()

@@ -12,8 +12,7 @@ Three layers of evidence that laziness is invisible:
   iteration space exactly once;
 * **flush-semantics tests** — every observation point (``Dat.data``,
   ``Reduction.value``, checkpoint trigger, ``timing_report``, an op2 loop,
-  a serve job result, an SPMD rank return) forces a flush, so no program
-  can read stale data.
+  an SPMD rank return) forces a flush, so no program can read stale data.
 
 Plus regression coverage for the chain-schedule cache: hits across
 timesteps (including dt-baking kernel factories), misses on dat
@@ -762,53 +761,6 @@ class TestSpmdAndServices:
             plan=FaultPlan().kill(1, at_loop=12),
         )
         np.testing.assert_equal(res.results, ref.results)
-
-    def test_serve_job_result_flushes_warm_sessions(self, tmp_path):
-        """An ops-based servable app under lazy mode: the scheduler's
-        result-side flush lands queued loops, warm-session resets stay
-        bitwise, and back-to-back jobs agree."""
-        import asyncio
-
-        from repro.serve import JobSpec, ServeService
-        from repro.serve.session import AppAdapter, register_app
-
-        class DiffusionAdapter(AppAdapter):
-            name = "lazy-diffusion"
-
-            def build(self, spec):
-                blk, u, v = _chain_setup(n=16, seed=3)
-                return {"blk": blk, "u": u, "v": v}
-
-            def run(self, comm, state, spec):
-                _queue_chain(state["blk"], state["u"], state["v"], n=16,
-                             steps=spec.iterations)
-                # return without observing: the scheduler must flush
-                return None
-
-            def datasets(self, rank, state):
-                return {"u": state["u"], "v": state["v"]}
-
-        register_app(DiffusionAdapter())
-
-        def spec():
-            return JobSpec(
-                app="lazy-diffusion", iterations=2,
-                preemptible=False, checkpoint_frequency=0,
-            )
-
-        async def _serve():
-            service = ServeService(workers=1, ckpt_dir=tmp_path / "ckpt")
-            async with service:
-                a = await service.submit(spec())
-                await service.result(a, timeout=60)
-                b = await service.submit(spec())
-                await service.result(b, timeout=60)
-                return service.status(a), service.status(b)
-
-        with swap(lazy=True):
-            st_a, st_b = asyncio.run(_serve())
-        assert st_a["state"] == st_b["state"] == "completed"
-        assert lazy_mod.ACTIVE == 0
 
 
 # ---------------------------------------------------------------------------

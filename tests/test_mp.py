@@ -820,45 +820,3 @@ class TestNativeCacheConcurrency:
             os.utime(fresh_so, (old, old))
             assert ncache.cache_clear() == 2
             assert not os.path.exists(fresh_c)
-
-
-# ---------------------------------------------------------------------------
-# serve: optional process-pool executor
-# ---------------------------------------------------------------------------
-
-
-class TestServeMpExecutor:
-    def test_mp_executor_matches_thread_executor(self, tmp_path):
-        import asyncio
-
-        from repro.serve import JobSpec, ServeService
-
-        async def one(executor):
-            service = ServeService(
-                workers=1, ckpt_dir=tmp_path / f"ckpt-{executor}",
-                executor=executor,
-            )
-            async with service:
-                spec = JobSpec(
-                    iterations=4, params={"nx": 8, "ny": 6},
-                    preemptible=False, nranks=2,
-                )
-                jid = await service.submit(spec)
-                return await service.result(jid, timeout=120)
-
-        r_thread = asyncio.run(one("thread"))
-        r_mp = asyncio.run(one("mp"))
-        assert len(r_mp) == len(r_thread) == 2
-        for a, b in zip(r_mp, r_thread):
-            np.testing.assert_array_equal(np.asarray(a[0]), np.asarray(b[0]))
-            np.testing.assert_array_equal(a[1], b[1])
-
-    def test_bad_executor_rejected(self, tmp_path):
-        from repro.common.errors import ServeError
-        from repro.serve.queue import FairShareQueue
-        from repro.serve.scheduler import Scheduler
-        from repro.serve.session import SessionCache
-
-        with pytest.raises(ServeError, match="unknown executor"):
-            Scheduler(FairShareQueue(), SessionCache(),
-                      ckpt_dir=tmp_path, executor="fibers")

@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.checkpoint.store import FileStore, latest_common_round, round_path
 from repro.common import config
 from repro.common.counters import PerfCounters
 from repro.common.profiling import active_counters, counters_scope
 from repro.common.report import timing_report
+from repro.mp import run_resilient_spmd_mp
 from repro.resilience import (
     FaultPlan,
     MessageLostError,
@@ -309,17 +311,29 @@ class TestResilientAirfoil:
                 max_restarts=1,
             )
 
-    def test_organic_errors_are_not_retried(self, tmp_path):
-        class BrokenJob(AirfoilJob):
-            def rank_main(self, comm, state):
-                raise ZeroDivisionError("organic bug")
+    @pytest.mark.parametrize("executor", ["thread", "mp"])
+    def test_organic_errors_are_not_retried(self, executor, tmp_path):
+        """Both launchers share one restart loop: an organic error from a
+        rank is re-raised at once, with no restart and no second attempt."""
+        attempts = []
 
+        class BrokenJob(AirfoilJob):
+            def setup(self):
+                attempts.append(1)
+                return super().setup()
+
+            def rank_main(self, comm, state):
+                raise ValueError("organic bug")
+
+        if executor == "thread":
+            nranks, run = NRANKS, run_resilient_spmd
+        else:
+            nranks, run = 2, run_resilient_spmd_mp
         with pytest.raises(RuntimeError) as exc_info:
-            run_resilient_spmd(
-                NRANKS, BrokenJob(NRANKS, ITERS, nx=10, ny=6),
-                ckpt_dir=tmp_path, frequency=15,
-            )
-        assert isinstance(exc_info.value.__cause__, ZeroDivisionError)
+            run(nranks, BrokenJob(nranks, 1, nx=4, ny=3),
+                ckpt_dir=tmp_path, frequency=15)
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        assert len(attempts) == 1
 
     def test_zero_max_restarts_fails_on_first_kill(self, job, tmp_path):
         plan = FaultPlan().kill(0, at_loop=10)
@@ -342,73 +356,56 @@ class TestLatestCommonRound:
 
     @staticmethod
     def _write(ckpt_dir, rank, round_no, entry_index):
-        from repro.checkpoint.store import FileStore
-        from repro.resilience.driver import _round_path
-
-        store = FileStore(_round_path(ckpt_dir, rank, round_no))
+        store = FileStore(round_path(ckpt_dir, rank, round_no))
         store.save_dataset("u", np.full(4, float(entry_index)))
         store.set_entry(entry_index)
         store.flush()
 
     def test_newest_complete_round_wins(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
         for round_no, entry in ((0, 10), (1, 20)):
             for rank in range(3):
                 self._write(tmp_path, rank, round_no, entry)
-        assert _latest_common_round(tmp_path, 3) == (1, 20)
+        assert latest_common_round(tmp_path, 3) == (1, 20)
 
     def test_round_missing_a_rank_is_skipped(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
         for rank in range(3):
             self._write(tmp_path, rank, 0, 10)
         # round 1 flushed by ranks 0 and 2 only — the crash hit rank 1
         self._write(tmp_path, 0, 1, 20)
         self._write(tmp_path, 2, 1, 20)
-        assert _latest_common_round(tmp_path, 3) == (0, 10)
+        assert latest_common_round(tmp_path, 3) == (0, 10)
 
     def test_disagreeing_entry_indices_skipped(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
         for rank in range(3):
             self._write(tmp_path, rank, 0, 10)
         # round 1 is inconsistent: rank 2 checkpointed a later loop entry
         self._write(tmp_path, 0, 1, 20)
         self._write(tmp_path, 1, 1, 20)
         self._write(tmp_path, 2, 1, 25)
-        assert _latest_common_round(tmp_path, 3) == (0, 10)
+        assert latest_common_round(tmp_path, 3) == (0, 10)
 
     def test_newest_agreeing_round_wins_over_older_ones(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
         for round_no, entry in ((0, 10), (1, 20), (2, 30)):
             for rank in range(2):
                 self._write(tmp_path, rank, round_no, entry)
         # round 3 torn across ranks
         self._write(tmp_path, 0, 3, 40)
         self._write(tmp_path, 1, 3, 42)
-        assert _latest_common_round(tmp_path, 2) == (2, 30)
+        assert latest_common_round(tmp_path, 2) == (2, 30)
 
     def test_torn_file_falls_back_to_older_round(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round, _round_path
-
         for rank in range(2):
             self._write(tmp_path, rank, 0, 10)
             self._write(tmp_path, rank, 1, 20)
         # rank 1's round-1 file is truncated mid-write
-        path = _round_path(tmp_path, 1, 1)
+        path = round_path(tmp_path, 1, 1)
         path.write_bytes(path.read_bytes()[:40])
-        assert _latest_common_round(tmp_path, 2) == (0, 10)
+        assert latest_common_round(tmp_path, 2) == (0, 10)
 
     def test_no_consistent_round_returns_none(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
         self._write(tmp_path, 0, 0, 10)
         self._write(tmp_path, 1, 0, 15)  # never agreed
-        assert _latest_common_round(tmp_path, 2) is None
+        assert latest_common_round(tmp_path, 2) is None
 
     def test_empty_dir_returns_none(self, tmp_path):
-        from repro.resilience.driver import _latest_common_round
-
-        assert _latest_common_round(tmp_path, 2) is None
+        assert latest_common_round(tmp_path, 2) is None
