@@ -15,19 +15,14 @@ interpreted one.
 import time
 
 from _support import collect, counters_summary, emit
-from repro import op2, ops
 from repro.common.config import swap
+from repro.common.plancache import clear_plan_caches
 
 AIRFOIL_MESH = (100, 60)
 AIRFOIL_ITERS = 40
 CLOVER_MESH = (48, 48)
 CLOVER_STEPS = 30
 REPEATS = 3
-
-
-def _clear_caches():
-    op2.clear_plan_cache()
-    ops.clear_plan_cache()
 
 
 def _measure(run, use_plan: bool):
@@ -38,7 +33,7 @@ def _measure(run, use_plan: bool):
     compilation — so the timed repeats measure the steady state the layer
     is designed for: every loop invocation replaying a cached plan.
     """
-    _clear_caches()
+    clear_plan_caches()
     best, counters = float("inf"), None
     with swap(use_execplan=use_plan):
         collect(run)

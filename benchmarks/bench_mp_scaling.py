@@ -32,8 +32,8 @@ import time
 import numpy as np
 import pytest
 from _support import RESULTS_DIR, compare_to_previous, emit
-from repro import op2, ops
 from repro.common.config import swap
+from repro.common.plancache import clear_plan_caches
 from repro.mp import run_spmd_mp
 from repro.native import cache as native_cache
 from repro.simmpi import run_spmd
@@ -42,11 +42,6 @@ MESH = (96, 64)
 ITERS = 60
 WORKERS = 4
 REPEATS = 3
-
-
-def _clear_plans():
-    op2.clear_plan_cache()
-    ops.clear_plan_cache()
 
 
 def _airfoil_case(nranks):
@@ -63,7 +58,7 @@ def _airfoil_case(nranks):
         return rms, pm.local(comm.rank).gather_dat(comm, mesh.q)
 
     def run(spmd):
-        _clear_plans()
+        clear_plan_caches()
         rms, q = spmd(nranks, main)[0]
         return {"rms": rms, "q": q}
 

@@ -25,8 +25,8 @@ import tempfile
 import time
 
 from _support import RESULTS_DIR, collect, compare_to_previous, counters_summary, emit
-from repro import op2, ops
 from repro.common.config import swap
+from repro.common.plancache import clear_plan_caches
 from repro.native import cache as native_cache
 
 AIRFOIL_MESH = (100, 60)
@@ -34,11 +34,6 @@ AIRFOIL_ITERS = 40
 CLOVER_MESH = (48, 48)
 CLOVER_STEPS = 30
 REPEATS = 3
-
-
-def _clear_plans():
-    op2.clear_plan_cache()
-    ops.clear_plan_cache()
 
 
 def _timed(run):
@@ -50,7 +45,7 @@ def _timed(run):
 def _measure_steady(run, **cfg):
     """Best-of-N wall time after an untimed warm-up pass (plan + native
     admission both settle on the warm-up, exactly like the execplan bench)."""
-    _clear_plans()
+    clear_plan_caches()
     best, counters = float("inf"), None
     with swap(**cfg):
         collect(run)
@@ -97,14 +92,14 @@ def test_native_speedup():
             # cold compile: empty disk cache, every admission runs cc.  One
             # timed pass — this is a one-off per machine, not a steady state.
             native_cache.clear_memory_cache()
-            _clear_plans()
+            clear_plan_caches()
             with swap(use_execplan=True, native=True, native_cache_dir=cache_root):
                 cold_s, cold_counters = _timed(run)
 
                 # warm cache, cold process (simulated): plans and dlopen
                 # handles dropped, disk objects kept — admission only reloads.
                 native_cache.clear_memory_cache()
-                _clear_plans()
+                clear_plan_caches()
                 warm_start_s, warm_counters = _timed(run)
 
             # steady state: everything warm, best of N

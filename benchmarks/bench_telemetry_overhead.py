@@ -19,7 +19,7 @@ Writes ``benchmarks/results/telemetry_overhead.{txt,json}``.
 import time
 
 from _support import collect, emit
-from repro import op2, ops
+from repro.common.plancache import clear_plan_caches
 from repro.telemetry import tracer as trace_mod
 from repro.telemetry.tracer import Tracer
 
@@ -58,8 +58,7 @@ def test_telemetry_overhead():
     # the timed repeats interleave round-robin: machine noise comes in
     # multi-second gusts here, so adjacent-in-time samples keep the
     # best-of-N ratios fair where back-to-back blocks would not.
-    op2.clear_plan_cache()
-    ops.clear_plan_cache()
+    clear_plan_caches()
     tracer = Tracer()
     states = [("baseline", _make_run(), None),
               ("disabled", _make_run(), None),

@@ -70,10 +70,10 @@ class Config:
     #: means every call takes the interpreted path (the pre-plan behaviour;
     #: benchmarks toggle this to measure the amortisation win)
     use_execplan: bool = True
-    #: maximum number of compiled loops kept per registry (LRU eviction).
-    #: Default 512 plans per registry (op2 and ops each keep their own);
-    #: override per process with ``REPRO_EXECPLAN_CACHE_SIZE`` or at runtime
-    #: with :func:`configure` / ``op2.set_plan_cache_capacity``
+    #: capacity of every plan cache (repro.common.plancache: op2 plans, ops
+    #: plans, lazy chain schedules; LRU eviction, 512 entries each by
+    #: default); override per process with ``REPRO_EXECPLAN_CACHE_SIZE`` or
+    #: at runtime with :func:`configure` / ``set_plan_cache_capacity``
     execplan_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_EXECPLAN_CACHE_SIZE", 512)
     )
@@ -96,10 +96,6 @@ class Config:
     #: queued loops per thread before a forced flush (bounds deferral of a
     #: program that never observes its data)
     lazy_queue_limit: int = 512
-    #: maximum cached chain schedules (LRU; ``REPRO_CHAIN_CACHE_SIZE``)
-    chain_cache_size: int = field(
-        default_factory=lambda: _env_int("REPRO_CHAIN_CACHE_SIZE", 128)
-    )
     #: compile certified kernels to native C entry points behind the
     #: execplan tier (repro.native).  Only bitwise-safe loops are admitted,
     #: so this is on by default; ``REPRO_NATIVE=0`` disables it process-wide

@@ -9,7 +9,7 @@ predicted runtimes on catalogued hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 # bound once at import: Timer sits on every par_loop hot path, and the
 # two-level ``time.perf_counter`` attribute walk is measurable there
 from time import perf_counter as _perf_counter
@@ -80,7 +80,8 @@ class PerfCounters:
     # -- verification: sanitizer activity ---------------------------------------
     loops_sanitized: int = 0
     shadow_runs: int = 0
-    # -- compiled loop executors: plan-cache traffic -----------------------------
+    # -- compiled loop executors: plan-cache traffic (common.plancache counts
+    # ``<books>_<stat>`` by name, here and in the chain fields below) ----------
     plan_hits: int = 0
     plan_misses: int = 0
     plan_invalidations: int = 0
@@ -144,18 +145,6 @@ class PerfCounters:
         self.loops_sanitized += 1
         self.shadow_runs += int(shadow_runs)
 
-    def record_plan_hit(self) -> None:
-        self.plan_hits += 1
-
-    def record_plan_miss(self) -> None:
-        self.plan_misses += 1
-
-    def record_plan_invalidation(self) -> None:
-        self.plan_invalidations += 1
-
-    def record_plan_eviction(self) -> None:
-        self.plan_evictions += 1
-
     def record_lazy_flush(self, nloops: int) -> None:
         """Account one lazy-queue flush executing ``nloops`` deferred loops."""
         self.lazy_flushes += 1
@@ -166,12 +155,6 @@ class PerfCounters:
         self.lazy_groups += 1
         self.lazy_tiles += int(ntiles)
         self.lazy_bytes_saved += int(bytes_saved)
-
-    def record_chain_hit(self) -> None:
-        self.chain_hits += 1
-
-    def record_chain_miss(self) -> None:
-        self.chain_misses += 1
 
     def record_native_call(self) -> None:
         """Account one loop executed through a compiled C entry point."""
@@ -214,68 +197,14 @@ class PerfCounters:
         """Fold another counter set (e.g. from another simulated rank) in."""
         for name, rec in other.loops.items():
             self.loop(name).merge(rec)
-        self.messages_sent += other.messages_sent
-        self.bytes_sent += other.bytes_sent
-        self.reductions += other.reductions
-        self.halo_exchanges += other.halo_exchanges
-        self.faults_injected += other.faults_injected
-        self.messages_dropped += other.messages_dropped
-        self.messages_retried += other.messages_retried
-        self.messages_delayed += other.messages_delayed
-        self.messages_duplicated += other.messages_duplicated
-        self.restarts += other.restarts
-        self.recovery_seconds += other.recovery_seconds
-        self.loops_sanitized += other.loops_sanitized
-        self.shadow_runs += other.shadow_runs
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
-        self.plan_invalidations += other.plan_invalidations
-        self.plan_evictions += other.plan_evictions
-        self.lazy_flushes += other.lazy_flushes
-        self.lazy_loops += other.lazy_loops
-        self.lazy_groups += other.lazy_groups
-        self.lazy_tiles += other.lazy_tiles
-        self.lazy_bytes_saved += other.lazy_bytes_saved
-        self.chain_hits += other.chain_hits
-        self.chain_misses += other.chain_misses
-        self.native_calls += other.native_calls
-        self.native_compiles += other.native_compiles
-        self.native_cache_hits += other.native_cache_hits
-        self.native_cache_misses += other.native_cache_misses
-        self.native_fallbacks += other.native_fallbacks
+        for name in _SCALARS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.native_declines.update(other.native_declines)
 
     def reset(self) -> None:
         self.loops.clear()
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.reductions = 0
-        self.halo_exchanges = 0
-        self.faults_injected = 0
-        self.messages_dropped = 0
-        self.messages_retried = 0
-        self.messages_delayed = 0
-        self.messages_duplicated = 0
-        self.restarts = 0
-        self.recovery_seconds = 0.0
-        self.loops_sanitized = 0
-        self.shadow_runs = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_invalidations = 0
-        self.plan_evictions = 0
-        self.lazy_flushes = 0
-        self.lazy_loops = 0
-        self.lazy_groups = 0
-        self.lazy_tiles = 0
-        self.lazy_bytes_saved = 0
-        self.chain_hits = 0
-        self.chain_misses = 0
-        self.native_calls = 0
-        self.native_compiles = 0
-        self.native_cache_hits = 0
-        self.native_cache_misses = 0
-        self.native_fallbacks = 0
+        for name, zero in _SCALARS.items():
+            setattr(self, name, zero)
         self.native_declines.clear()
 
     def summary_rows(self) -> list[tuple[str, int, int, int, float]]:
@@ -284,6 +213,10 @@ class PerfCounters:
             (r.name, r.iterations, r.bytes_moved, r.flops, r.wall_seconds)
             for r in self.loops.values()
         ]
+
+
+#: every scalar counter and its zero: merge adds them, reset restores them
+_SCALARS = {f.name: f.default for f in fields(PerfCounters) if f.type in ("int", "float")}
 
 
 class Timer:

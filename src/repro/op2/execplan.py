@@ -30,17 +30,16 @@ builds only the tier it runs:
   bitwise-parity guarantees).  Tiny or degenerate scatters stay on
   ``np.add.at``.
 
-Compiled loops live in a bounded LRU registry keyed by *stable* monotonic
+Compiled loops live in :data:`plans`, a
+:class:`~repro.common.plancache.PlanCache` keyed by *stable* monotonic
 tokens (kernel, iteration set, per-arg dat/map/idx/access, ``n``), never by
-``id()``.  Entries are invalidated when a dat's storage shape/dtype or a
-map's values array changes, and dropped wholesale by
-:func:`clear_plan_cache`.
+``id()``.  The op2 guard: an entry is invalidated when a dat's storage
+shape/dtype or a map's values array changes.  :func:`clear_plan_cache`
+drops every entry together with the colouring and unique-count memos.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ import numpy as np
 from repro.common.access import Access
 from repro.common.config import get_config
 from repro.common.counters import LoopRecord, PerfCounters, Timer
+from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.common.profiling import (
     LoopEvent,
     active_counters,
@@ -254,9 +254,10 @@ def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
 class CompiledLoop:
     """Everything re-derivable from one loop signature, computed once."""
 
-    def __init__(self, kernel: Kernel, iterset: Set, args: list[Arg], backend: str, n: int):
+    def __init__(self, kernel: Kernel, iterset: Set, args: Sequence[Arg], backend: str, n: int):
         from repro.op2 import parloop as _parloop  # deferred: parloop imports us
 
+        args = list(args)
         self.kernel = kernel
         self.iterset = iterset
         self.args = args  # strong refs keep dats/maps alive while cached
@@ -398,11 +399,29 @@ class CompiledLoop:
             dat.halo_dirty = True
 
 
-# -- registry -----------------------------------------------------------------
+# -- plan cache ---------------------------------------------------------------
 
-_registry: OrderedDict[tuple, CompiledLoop] = OrderedDict()
-_lock = threading.Lock()
-_stats = {"hits": 0, "misses": 0, "invalidations": 0, "evictions": 0}
+
+def _describe(event: str, plan: CompiledLoop) -> dict:
+    """Attributes of the ``plan_<event>`` trace instant."""
+    attrs = {"kernel": plan.kernel.name}
+    if event != "eviction":
+        attrs["backend"] = plan.backend
+    if event == "miss":
+        attrs["n"] = plan.n
+    return attrs
+
+
+def _clear_memos() -> None:
+    from repro.op2 import parloop as _parloop
+
+    colour_plan.clear_plan_cache()
+    _parloop._unique_count_cache.clear()
+
+
+plans = PlanCache("plan", "plan", _describe, on_clear=_clear_memos)
+clear_plan_cache = plans.clear  # compiled loops, colouring plans, unique counts
+plan_cache_stats = plans.stats
 
 
 def _signature(kernel: Kernel, iterset: Set, args: tuple, backend: str, n: int) -> tuple:
@@ -438,76 +457,6 @@ def lookup(
         key = _signature(kernel, iterset, args, backend, n)
     except (AttributeError, TypeError):
         return None
+    # the build runs inside this call, so a traced plan build nests under lookup
+    return plans.get(key, CompiledLoop, kernel, iterset, args, backend, n)
 
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    with _lock:
-        compiled = _registry.get(key)
-        if compiled is not None:
-            if compiled.still_valid():
-                _registry.move_to_end(key)
-                _stats["hits"] += 1
-                counters.record_plan_hit()
-                return compiled
-            del _registry[key]
-            _stats["invalidations"] += 1
-            counters.record_plan_invalidation()
-            if trc is not None:
-                trc.instant(
-                    "plan_invalidation", "plan", kernel=kernel.name, backend=backend
-                )
-
-    # compile outside the lock: colouring/argsort can be expensive and the
-    # simulated MPI ranks compile distinct per-rank signatures concurrently
-    compiled = CompiledLoop(kernel, iterset, list(args), backend, n)
-    with _lock:
-        _registry[key] = compiled
-        _stats["misses"] += 1
-        counters.record_plan_miss()
-        if trc is not None:
-            trc.instant("plan_miss", "plan", kernel=kernel.name, backend=backend, n=n)
-        _evict_to(get_config().execplan_cache_size)
-    return compiled
-
-
-def _evict_to(limit: int) -> None:
-    """Drop least-recently-used plans down to ``limit``; caller holds ``_lock``."""
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    while len(_registry) > limit:
-        _, evicted = _registry.popitem(last=False)
-        _stats["evictions"] += 1
-        counters.record_plan_eviction()
-        if trc is not None:
-            trc.instant("plan_eviction", "plan", kernel=evicted.kernel.name)
-
-
-def clear_plan_cache() -> None:
-    """Drop every compiled loop, colouring plan and unique-count entry."""
-    from repro.op2 import parloop as _parloop
-
-    with _lock:
-        _registry.clear()
-    colour_plan.clear_plan_cache()
-    _parloop._unique_count_cache.clear()
-
-
-def set_plan_cache_capacity(limit: int) -> None:
-    """Resize the per-process plan LRU (persistently; evicts down to fit).
-
-    The default capacity is 512 compiled loops (``Config.execplan_cache_size``,
-    overridable at startup with ``REPRO_EXECPLAN_CACHE_SIZE``).
-    """
-    if limit < 1:
-        raise ValueError("plan cache capacity must be >= 1")
-    from repro.common.config import configure
-
-    configure(execplan_cache_size=limit)
-    with _lock:
-        _evict_to(limit)
-
-
-def plan_cache_stats() -> dict[str, int]:
-    """Process-lifetime registry statistics (tests and diagnostics)."""
-    with _lock:
-        return {"size": len(_registry), **_stats}

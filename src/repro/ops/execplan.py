@@ -30,22 +30,20 @@ Reduction handles are *slots*, not captures: apps routinely build a fresh
 slot's access mode and rebind the caller's handle (accessor position and
 event ``data_ref``) on every call.
 
-Plans live in a bounded LRU registry keyed by stable monotonic tokens.
-Because the cached views alias a dat's storage array, entries guard on the
-identity of every ``dat.data`` and are invalidated when storage is
-replaced.  ``seq`` stays the untouched interpreted reference, and stencil
-checking / descriptor verification always bypass the compiled path.
+Plans live in :data:`plans`, a :class:`~repro.common.plancache.PlanCache`
+keyed by stable monotonic tokens.  The ops guard: because the cached views
+alias a dat's storage array, an entry is invalidated when any ``dat.data``
+is replaced.  ``seq`` stays the untouched interpreted reference, and
+stencil checking / descriptor verification always bypass the compiled path.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable, Sequence
 
-from repro.common.config import get_config
 from repro.common.counters import PerfCounters, Timer
 from repro.common.errors import APIError
+from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.common.profiling import (
     LoopEvent,
     active_counters,
@@ -133,6 +131,7 @@ class CompiledOpsLoop:
 
         self.kernel = kernel
         self.name = loop_name
+        self.backend = backend
         self.args = list(args)  # strong refs keep dats alive while cached
 
         # (b) the prebuilt event, reduction slots, written-dat list
@@ -303,11 +302,19 @@ class CompiledOpsLoop:
             dat.halo_dirty = True
 
 
-# -- registry -----------------------------------------------------------------
+# -- plan cache ---------------------------------------------------------------
 
-_registry: OrderedDict[tuple, CompiledOpsLoop] = OrderedDict()
-_lock = threading.Lock()
-_stats = {"hits": 0, "misses": 0, "invalidations": 0, "evictions": 0}
+
+def _describe(event: str, plan: CompiledOpsLoop) -> dict:
+    """Attributes of the ``plan_<event>`` trace instant."""
+    if event == "eviction":
+        return {"kernel": plan.name}
+    return {"kernel": plan.name, "backend": plan.backend}
+
+
+plans = PlanCache("plan", "plan", _describe)
+clear_plan_cache = plans.clear
+plan_cache_stats = plans.stats
 
 
 def _signature(
@@ -367,75 +374,9 @@ def lookup(
         key = _signature(kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape)
     except (AttributeError, TypeError):
         return None
-
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    with _lock:
-        compiled = _registry.get(key)
-        if compiled is not None:
-            if compiled.still_valid():
-                _registry.move_to_end(key)
-                _stats["hits"] += 1
-                counters.record_plan_hit()
-                return compiled
-            del _registry[key]
-            _stats["invalidations"] += 1
-            counters.record_plan_invalidation()
-            if trc is not None:
-                trc.instant(
-                    "plan_invalidation", "plan", kernel=loop_name, backend=backend
-                )
-
-    # compile outside the lock: slicing every tile's views can be expensive
-    # and simulated MPI ranks compile distinct per-rank signatures concurrently
-    compiled = CompiledOpsLoop(
-        kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape
+    # the build runs inside this call, so a traced plan build nests under lookup
+    return plans.get(
+        key, CompiledOpsLoop,
+        kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape,
     )
-    with _lock:
-        _registry[key] = compiled
-        _stats["misses"] += 1
-        counters.record_plan_miss()
-        if trc is not None:
-            trc.instant("plan_miss", "plan", kernel=loop_name, backend=backend)
-        _evict_to(get_config().execplan_cache_size)
-    return compiled
 
-
-def _evict_to(limit: int) -> None:
-    """Drop least-recently-used plans down to ``limit``; caller holds ``_lock``."""
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    while len(_registry) > limit:
-        _, evicted = _registry.popitem(last=False)
-        _stats["evictions"] += 1
-        counters.record_plan_eviction()
-        if trc is not None:
-            trc.instant("plan_eviction", "plan", kernel=evicted.name)
-
-
-def clear_plan_cache() -> None:
-    """Drop every compiled structured loop (tests / reconfiguration)."""
-    with _lock:
-        _registry.clear()
-
-
-def set_plan_cache_capacity(limit: int) -> None:
-    """Resize the per-process plan LRU (persistently; evicts down to fit).
-
-    Shares ``Config.execplan_cache_size`` with the op2 registry (default 512,
-    ``REPRO_EXECPLAN_CACHE_SIZE`` at startup), so sizing either registry
-    sizes both.
-    """
-    if limit < 1:
-        raise ValueError("plan cache capacity must be >= 1")
-    from repro.common.config import configure
-
-    configure(execplan_cache_size=limit)
-    with _lock:
-        _evict_to(limit)
-
-
-def plan_cache_stats() -> dict[str, int]:
-    """Process-lifetime registry statistics (tests and diagnostics)."""
-    with _lock:
-        return {"size": len(_registry), **_stats}

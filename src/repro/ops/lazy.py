@@ -22,13 +22,14 @@ mixed-API program, or an explicit :func:`flush` — at which moment:
    and extent buffers in place), never a plan key.  A flush therefore
    costs one plan lookup per queued loop however many tiles it cuts.
 
-Schedules are cached in a bounded LRU keyed by the chain's structural
-signature — per loop: kernel code identity, block/dat tokens, ranges,
-access modes and stencil points.  Closure *values* are deliberately
-excluded (unlike ``execplan``'s plan keys): the schedule depends only on
-the descriptors, so a kernel factory that bakes a fresh ``dt`` every step
-still hits.  A replaced dat draws a new token and misses, which is the
-invalidation path.
+Schedules are cached in :data:`chains`, a
+:class:`~repro.common.plancache.PlanCache` sized like the plan caches and
+keyed by the chain's structural signature — per loop: kernel code
+identity, block/dat tokens, ranges, access modes and stencil points.
+Closure *values* are deliberately excluded (unlike ``execplan``'s plan
+keys): the schedule depends only on the descriptors, so a kernel factory
+that bakes a fresh ``dt`` every step still hits.  A cached schedule is
+never stale: a replaced dat draws a new token and misses instead.
 
 Exactness rules (what may fuse):
 
@@ -56,11 +57,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.common.config import get_config
+from repro.common.plancache import PlanCache
 from repro.common.profiling import active_counters, observers_active
 from repro.lint.dataflow import AccessRecord
 from repro.ops.tileplan import ChainSchedule, LoopSpec, build_tile_schedule
@@ -328,9 +329,28 @@ def lazy_scope(**overrides):
 
 # -- chain-schedule cache -----------------------------------------------------
 
-_chains: OrderedDict[tuple, tuple[ChainSchedule, tuple]] = OrderedDict()
-_chain_lock = threading.Lock()
-_chain_stats = {"hits": 0, "misses": 0, "evictions": 0}
+
+class _Chain(NamedTuple):
+    """A cached chain schedule plus each group's modelled bytes saved."""
+
+    schedule: ChainSchedule
+    group_saved: tuple
+
+    def still_valid(self) -> bool:
+        return True  # the key holds every dat token: a replaced dat misses
+
+
+def _describe(event: str, chain: _Chain) -> dict | None:
+    """Attributes of the ``chain_miss`` instant (evictions are stats only)."""
+    if event != "miss":
+        return None
+    s = chain.schedule
+    return {"loops": s.n_loops, "groups": len(s.groups), "fused_tiles": s.fused_tiles}
+
+
+chains = PlanCache("chain", "lazy", _describe)
+chain_cache_stats = chains.stats
+clear_chain_cache = chains.clear
 
 
 def _group_bytes_saved(queue: list, loops: tuple) -> int:
@@ -357,59 +377,16 @@ def _group_bytes_saved(queue: list, loops: tuple) -> int:
     return saved
 
 
-def _schedule_for(queue: list) -> tuple[ChainSchedule, tuple]:
+def _build_chain(queue: list, tile, max_group: int) -> _Chain:
+    s = build_tile_schedule([q.spec for q in queue], tile_shape=tile, max_group=max_group)
+    return _Chain(s, tuple(_group_bytes_saved(queue, g.loops) if g.fused else 0 for g in s.groups))
+
+
+def _schedule_for(queue: list) -> _Chain:
     cfg = get_config()
-    key = (
-        tuple(q.sig for q in queue),
-        tuple(cfg.lazy_tile) if cfg.lazy_tile else None,
-        cfg.lazy_max_group,
-    )
-    counters = active_counters()
-    with _chain_lock:
-        cached = _chains.get(key)
-        if cached is not None:
-            _chains.move_to_end(key)
-            _chain_stats["hits"] += 1
-            counters.record_chain_hit()
-            return cached
-
-    schedule = build_tile_schedule(
-        [q.spec for q in queue],
-        tile_shape=cfg.lazy_tile,
-        max_group=cfg.lazy_max_group,
-    )
-    group_saved = tuple(
-        _group_bytes_saved(queue, g.loops) if g.fused else 0
-        for g in schedule.groups
-    )
-    trc = _trace.ACTIVE
-    with _chain_lock:
-        _chains[key] = (schedule, group_saved)
-        _chain_stats["misses"] += 1
-        counters.record_chain_miss()
-        if trc is not None:
-            trc.instant(
-                "chain_miss", "lazy",
-                loops=len(queue), groups=len(schedule.groups),
-                fused_tiles=schedule.fused_tiles,
-            )
-        limit = cfg.chain_cache_size
-        while len(_chains) > limit:
-            _chains.popitem(last=False)
-            _chain_stats["evictions"] += 1
-    return schedule, group_saved
-
-
-def chain_cache_stats() -> dict[str, int]:
-    """Process-lifetime chain-schedule cache statistics."""
-    with _chain_lock:
-        return {"size": len(_chains), **_chain_stats}
-
-
-def clear_chain_cache() -> None:
-    """Drop every cached chain schedule (tests / reconfiguration)."""
-    with _chain_lock:
-        _chains.clear()
+    tile_key = tuple(cfg.lazy_tile) if cfg.lazy_tile else None
+    key = (tuple(q.sig for q in queue), tile_key, cfg.lazy_max_group)
+    return chains.get(key, _build_chain, queue, cfg.lazy_tile, cfg.lazy_max_group)
 
 
 # -- flush execution ----------------------------------------------------------

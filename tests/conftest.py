@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import op2
+from repro.common.plancache import clear_plan_caches
 
 
 def pytest_addoption(parser):
@@ -50,16 +51,11 @@ def golden(request):
 
 
 @pytest.fixture(autouse=True)
-def _clear_plan_cache():
-    """Colouring plans and compiled loops are cached; fresh per test."""
-    from repro.op2.execplan import clear_plan_cache as clear_op2
-    from repro.ops.execplan import clear_plan_cache as clear_ops
-
-    clear_op2()
-    clear_ops()
+def _clear_plan_caches():
+    """Compiled loops, colouring plans and chain schedules: fresh per test."""
+    clear_plan_caches()
     yield
-    clear_op2()
-    clear_ops()
+    clear_plan_caches()
 
 
 @pytest.fixture(autouse=True)

@@ -18,18 +18,14 @@ from repro.apps.airfoil.app import AirfoilApp
 from repro.apps.airfoil.mesh import generate_mesh
 from repro.apps.cloverleaf import CloverLeafApp
 from repro.apps.multiblock.app import MultiBlockDiffusion
-from repro.common.config import swap
+from repro.common.config import Config, configure, get_config, swap
 from repro.common.counters import PerfCounters
+from repro.common.plancache import clear_plan_caches
 from repro.common.profiling import counters_scope
 from repro.common.report import timing_report
 from repro.op2 import execplan as op2_exec
 from repro.ops import execplan as ops_exec
 from repro.simmpi import run_spmd
-
-
-def _fresh_caches():
-    op2.clear_plan_cache()
-    ops.clear_plan_cache()
 
 
 # -- bitwise equivalence: compiled vs interpreted -----------------------------------
@@ -38,7 +34,7 @@ def _fresh_caches():
 class TestOp2Equivalence:
     @staticmethod
     def _airfoil(backend: str, use_plan: bool):
-        _fresh_caches()
+        clear_plan_caches()
         with swap(use_execplan=use_plan):
             app = AirfoilApp(generate_mesh(8, 6, jitter=0.15), backend=backend)
             rms = app.run(2)
@@ -58,7 +54,7 @@ class TestOp2Equivalence:
         # ranks 1-4 exercise the n_elements-restricted owner-compute path
         # and halo staleness propagation through the compiled executor
         def run(nranks: int, use_plan: bool):
-            _fresh_caches()
+            clear_plan_caches()
             with swap(use_execplan=use_plan):
                 mesh = generate_mesh(10, 8, jitter=0.1)
                 app = AirfoilApp(mesh)
@@ -81,7 +77,7 @@ class TestOp2Equivalence:
 class TestOpsEquivalence:
     @staticmethod
     def _clover(backend: str, use_plan: bool):
-        _fresh_caches()
+        clear_plan_caches()
         with swap(use_execplan=use_plan):
             app = CloverLeafApp(nx=10, ny=8, backend=backend)
             summary = app.run(2)
@@ -106,7 +102,7 @@ class TestOpsEquivalence:
         import repro.ops.parloop as opl
 
         def run(use_plan: bool):
-            _fresh_caches()
+            clear_plan_caches()
             initial = np.add.outer(np.arange(16.0), np.sin(np.arange(8.0)))
             prev = opl.get_default_backend()
             opl.set_default_backend(backend)
@@ -145,7 +141,7 @@ class TestOpsEquivalence:
 
 
 def _run_inc_loop(cols: list[int], vals: np.ndarray, base: np.ndarray, use_plan: bool):
-    _fresh_caches()
+    clear_plan_caches()
     n_edges, n_nodes = len(cols), base.shape[0]
     edges = op2.Set(n_edges, "edges")
     nodes = op2.Set(n_nodes, "nodes")
@@ -238,7 +234,7 @@ class TestIncScatterPlan:
         )
 
 
-# -- registry: hits, misses, invalidation, eviction, bounds -------------------------
+# -- plan caches: per-API keys and guards (the LRU itself: test_plancache.py) -------
 
 
 def _direct_loop_site():
@@ -258,7 +254,6 @@ class TestOp2Registry:
         """A plan builds only the tier it runs: looking a site up cuts no
         gather/scatter schedule; the first execute without a native kernel
         (lambda kernels never compile) does, once."""
-        _fresh_caches()
         nodes, x, k = _direct_loop_site()
         plan = op2_exec.lookup(k, nodes, (x(op2.RW),), backend, nodes.size)
         assert plan.native is None and plan.subsets is None
@@ -314,28 +309,16 @@ class TestOp2Registry:
         assert s1["misses"] - s0["misses"] == 1
         np.testing.assert_array_equal(s.data[:, 0], [5.0, 3.0, 1.0])
 
-    def test_lru_bound_and_eviction(self):
-        nodes = op2.Set(8, "nodes")
-        x = op2.Dat(nodes, 1, np.zeros(8), name="x")
-        s0 = op2_exec.plan_cache_stats()
-        with swap(execplan_cache_size=2):
-            for i in range(4):
-                k = op2.Kernel(
-                    lambda a: a.__setitem__(0, a[0]),
-                    f"k{i}",
-                    vec_func=lambda a: None,
-                )
-                op2.par_loop(k, nodes, x(op2.RW), backend="vec")
-            s1 = op2_exec.plan_cache_stats()
-            assert s1["size"] <= 2
-            assert s1["evictions"] - s0["evictions"] >= 2
-
     def test_clear_plan_cache_empties(self):
-        nodes, x, k = _direct_loop_site()
-        op2.par_loop(k, nodes, x(op2.RW), backend="vec")
+        """op2's reset also drops the colouring and unique-count memos."""
+        from repro.op2 import parloop, plan as colour_plan
+
+        AirfoilApp(generate_mesh(4, 3), backend="openmp").run(1)
         assert op2_exec.plan_cache_stats()["size"] >= 1
+        assert colour_plan._plan_cache and parloop._unique_count_cache
         op2.clear_plan_cache()
         assert op2_exec.plan_cache_stats()["size"] == 0
+        assert not colour_plan._plan_cache and not parloop._unique_count_cache
 
     def test_written_dats_marked_halo_dirty(self):
         nodes, x, k = _direct_loop_site()
@@ -458,56 +441,50 @@ class TestRangeArgument:
         assert d.interior[0, 0] == 1.5 and d.interior[1, 0] == 3.0
 
 
-class TestResizeEvictionAccounting:
-    """Shrinking the LRU evicts through the same books as a lookup does."""
-
-    @pytest.mark.parametrize("api", ["op2", "ops"])
-    def test_resize_counts_and_traces_evictions(self, api):
-        from repro import telemetry
-        from repro.common.config import Config, configure
-
-        if api == "op2":
-            mod, stats = op2, op2_exec.plan_cache_stats
-            nodes = op2.Set(8, "nodes")
-            x = op2.Dat(nodes, 1, np.zeros(8), name="x")
-            for i in range(3):
-                k = op2.Kernel(lambda a: None, f"k{i}", vec_func=lambda a: None)
-                op2.par_loop(k, nodes, x(op2.RW), backend="vec")
-        else:
-            mod, stats = ops, ops_exec.plan_cache_stats
-            block, d, scale = TestOpsRegistry._site()
-            for hi in (4, 5, 6):
-                ops.par_loop(scale, block, [(0, hi), (0, 5)], d(ops.RW), backend="vec")
-        s0 = stats()
-        assert s0["size"] == 3
-        counters = PerfCounters()
-        try:
-            with counters_scope(counters), telemetry.tracing() as trc:
-                mod.set_plan_cache_capacity(1)
-            evicted = [e for e in trc.events()
-                       if isinstance(e, telemetry.InstantEvent) and e.name == "plan_eviction"]
-        finally:
-            configure(execplan_cache_size=Config().execplan_cache_size)
-        s1 = stats()
-        assert s1["size"] == 1
-        assert s1["evictions"] - s0["evictions"] == counters.plan_evictions == len(evicted) == 2
-
-
 _REGISTRIES = {"op2": (op2, op2_exec.plan_cache_stats), "ops": (ops, ops_exec.plan_cache_stats)}
 
 
+class TestResizeEvictionAccounting:
+    """One resize evicts every plan cache, through the books a lookup uses."""
+
+    @pytest.mark.parametrize("api", sorted(_REGISTRIES))
+    def test_resize_counts_and_traces_evictions(self, api):
+        from repro import telemetry
+
+        nodes = op2.Set(8, "nodes")
+        x = op2.Dat(nodes, 1, np.zeros(8), name="x")
+        for i in range(3):
+            k = op2.Kernel(lambda a: None, f"k{i}", vec_func=lambda a: None)
+            op2.par_loop(k, nodes, x(op2.RW), backend="vec")
+        block, d, scale = TestOpsRegistry._site()
+        for hi in (4, 5, 6):
+            ops.par_loop(scale, block, [(0, hi), (0, 5)], d(ops.RW), backend="vec")
+        before = {m: stats() for m, (_, stats) in _REGISTRIES.items()}
+        assert [s["size"] for s in before.values()] == [3, 3]
+        counters = PerfCounters()
+        try:
+            with counters_scope(counters), telemetry.tracing() as trc:
+                _REGISTRIES[api][0].set_plan_cache_capacity(1)
+            assert get_config().execplan_cache_size == 1
+        finally:
+            configure(execplan_cache_size=Config().execplan_cache_size)
+        for m, (_, stats) in _REGISTRIES.items():
+            after = stats()
+            assert (after["size"], after["evictions"] - before[m]["evictions"]) == (1, 2), m
+        assert counters.plan_evictions == 4
+        evicted = [e.attrs["kernel"] for e in trc.events()
+                   if isinstance(e, telemetry.InstantEvent) and e.name == "plan_eviction"]
+        assert sorted(evicted) == ["k0", "k1", "scale", "scale"]
+
+
 class TestPlanCacheCapacity:
-    """``REPRO_EXECPLAN_CACHE_SIZE`` parsing and the resize API, per registry."""
+    """``REPRO_EXECPLAN_CACHE_SIZE`` parsing and the resize API, via both packages."""
 
     def teardown_method(self):
-        from repro.common.config import Config, configure
-
         configure(execplan_cache_size=Config().execplan_cache_size)
 
     @pytest.mark.parametrize("api", sorted(_REGISTRIES))
     def test_env_var_default(self, api, monkeypatch):
-        from repro.common.config import Config, get_config
-
         mod, _ = _REGISTRIES[api]
         for raw, expected in (("7", 7), ("garbage", 512), (None, 512)):
             if raw is None:
@@ -527,10 +504,8 @@ class TestPlanCacheCapacity:
 
     @pytest.mark.parametrize("api", sorted(_REGISTRIES))
     def test_capacity_shrink_evicts_now(self, api):
-        from repro.common.config import get_config
-
         mod, stats = _REGISTRIES[api]
-        _fresh_caches()
+        clear_plan_caches()
         if api == "op2":
             AirfoilApp(generate_mesh(4, 3), backend="vec").run(2)
         else:
@@ -546,7 +521,6 @@ class TestPlanCacheCapacity:
 
 class TestPlanCounters:
     def test_hit_rate_after_warmup_exceeds_99_percent(self):
-        _fresh_caches()
         counters = PerfCounters()
         with counters_scope(counters), swap(use_execplan=True):
             app = AirfoilApp(generate_mesh(6, 4, jitter=0.1), backend="vec")

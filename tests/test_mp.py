@@ -36,6 +36,7 @@ from repro.common.errors import (
     ResilienceError,
     WorkerDiedError,
 )
+from repro.common.plancache import clear_plan_caches
 from repro.common.profiling import counters_scope
 from repro.common.report import timing_report
 from repro.mp import (
@@ -58,14 +59,6 @@ requires_cc = pytest.mark.skipif(
 )
 
 
-def _clear_plans():
-    from repro.op2.execplan import clear_plan_cache as clear_op2
-    from repro.ops.execplan import clear_plan_cache as clear_ops
-
-    clear_op2()
-    clear_ops()
-
-
 def _mp_vs_inproc(run_fn):
     """Diff one SPMD program across executors — bitwise, no tolerance.
 
@@ -74,7 +67,7 @@ def _mp_vs_inproc(run_fn):
     """
 
     def run(mode):
-        _clear_plans()
+        clear_plan_caches()
         return run_fn(run_spmd_mp if mode == "mp" else run_spmd)
 
     return diff_backends(run, ["inproc", "mp"], reference="inproc", trace=False)
@@ -267,7 +260,7 @@ class TestDiffBattery:
         from repro.apps.airfoil.mesh import generate_mesh
 
         def run(mode):
-            _clear_plans()
+            clear_plan_caches()
             mesh = generate_mesh(12, 8, jitter=0.1)
             app = AirfoilApp(mesh)
             pm = app.build_partitioned(2, "block")
@@ -362,7 +355,7 @@ class TestDiffBattery:
             b[0, 0] = 0.25 * (a[1, 0] + a[-1, 0] + a[0, 1] + a[0, -1])
 
         def run(lazy_on):
-            _clear_plans()
+            clear_plan_caches()
             blk = ops.Block(2)
             u = ops.Dat(blk, (16, 12), halo_depth=2, name="u")
             v = ops.Dat(blk, (16, 12), halo_depth=2, name="v")

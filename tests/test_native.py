@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ops, telemetry
 from repro.common.config import swap
 from repro.common.counters import PerfCounters
+from repro.common.plancache import clear_plan_caches
 from repro.common.profiling import counters_scope
 from repro.common.report import timing_report
 from repro.native import cache as ncache
@@ -46,23 +47,15 @@ def _native_cache_isolation(tmp_path):
     ncache._reset_compiler_cache()
 
 
-def _clear_plans():
-    from repro.op2.execplan import clear_plan_cache as clear_op2
-    from repro.ops.execplan import clear_plan_cache as clear_ops
-
-    clear_op2()
-    clear_ops()
-
-
 def _native_vs_vec(run_fn, *, trace=True):
     """Diff one app run with the native tier on vs off — bitwise, no tolerance.
 
     Admission happens at plan build, so each mode starts from empty plan
-    registries (exactly what a fresh process sees).
+    caches (exactly what a fresh process sees).
     """
 
     def run(mode):
-        _clear_plans()
+        clear_plan_caches()
         with swap(native=(mode == "native")):
             return run_fn()
 
@@ -135,7 +128,6 @@ class TestDiffBatteryRank1:
         """The battery is vacuous if admission quietly declines everything."""
         from repro.apps.cloverleaf import CloverLeafApp
 
-        _clear_plans()
         counters = PerfCounters()
         with counters_scope(counters), swap(native=True):
             CloverLeafApp(nx=10, ny=8, backend="vec").run(2)
@@ -202,8 +194,9 @@ class TestDiffBatteryRank4:
             rms = run_spmd(nranks, lambda comm: app.run_distributed(comm, pm, 3))
             return {"rms": np.asarray(rms), "q": mesh.q.data}
 
-        _native_vs_vec(run, trace=False).assert_agree()
-        updates = [p for p in execplan._registry.values() if p.kernel.name == "update"]
+        with swap(execplan_cache_size=64):  # every rank's plans stay cached
+            _native_vs_vec(run, trace=False).assert_agree()
+        updates = [p for p in execplan.plans.entries() if p.kernel.name == "update"]
         assert len(updates) == nranks and all(p.native is not None for p in updates)
 
     @pytest.mark.parametrize("app", ["sod", "multiblock"])
@@ -267,8 +260,7 @@ class TestLazyThroughNative:
             a[0, 0] = a[0, 0] + b[0, 0]
 
         def run(lazy_on: bool):
-            _clear_plans()
-            lazy_mod.clear_chain_cache()
+            clear_plan_caches()
             blk = ops.Block(2)
             u = ops.Dat(blk, (24, 24), halo_depth=2, name="u")
             v = ops.Dat(blk, (24, 24), halo_depth=2, name="v")
@@ -392,7 +384,7 @@ class TestRangeParametricPlan:
         from repro.ops import execplan
 
         def run(backend, native):
-            _clear_plans()
+            clear_plan_caches()
             blk, args, observe, reset = self._site(_smooth)
             reset()
             counters = PerfCounters()
@@ -457,7 +449,7 @@ def _run_ginc(indirect: bool, n: int, seed: int, native: bool):
     lo = op2.Global(1, [init[6]], name="lo")
     hi = op2.Global(1, [init[7]], name="hi")
     out = {}
-    _clear_plans()
+    clear_plan_caches()
     counters = PerfCounters()
     with counters_scope(counters), swap(native=native):
         if indirect:
@@ -521,7 +513,7 @@ class TestStagedGlobalInc:
         from repro import op2
 
         def run(native):
-            _clear_plans()
+            clear_plan_caches()
             elems = op2.Set(40, "elems")
             x = op2.Dat(elems, 2, np.random.default_rng(5).random((40, 2)), name="x")
             gl = [op2.Global(d, name=f"s{d}") for d in (1, 2, 3)]
@@ -552,7 +544,6 @@ class TestStagedGlobalInc:
             s[0] += x[0]
             t[0] += x[0]
 
-        _clear_plans()
         elems = op2.Set(8, "elems")
         x = op2.Dat(elems, 1, np.arange(8.0), name="x")
         g = op2.Global(1, name="g")
@@ -581,7 +572,7 @@ class TestStagedOpsInc:
         in call order — per tile on ``tiled``, exactly as vec does."""
 
         def run(native):
-            _clear_plans()
+            clear_plan_caches()
             blk = ops.Block(2)
             a = ops.Dat(blk, (37, 29), halo_depth=1, name="a")
             b = ops.Dat(blk, (37, 29), halo_depth=1, name="b")
@@ -654,7 +645,7 @@ class TestConstantFlags:
     @requires_cc
     def test_flag_values_match_vec_and_share_one_object(self):
         def run(native):
-            _clear_plans()
+            clear_plan_caches()
             counters = PerfCounters()
             out = []
             with counters_scope(counters), swap(native=native):
@@ -699,7 +690,6 @@ class TestBundledAppsFullyNative:
         from repro.apps.airfoil.mesh import generate_mesh
         from repro.apps.cloverleaf import CloverLeafApp
 
-        _clear_plans()
         counters = PerfCounters()
         with counters_scope(counters), swap(native=True):
             AirfoilApp(generate_mesh(8, 6, jitter=0.1), backend="vec").run(2)
@@ -710,7 +700,7 @@ class TestBundledAppsFullyNative:
         # ... and a natively-run op2 site never cut its vec schedule
         from repro.op2 import execplan
 
-        plans = list(execplan._registry.values())
+        plans = execplan.plans.entries()
         assert plans and all(p.native is not None and p.subsets is None for p in plans)
 
 
@@ -722,7 +712,7 @@ class TestBundledAppsFullyNative:
 def _run_sod_once():
     from repro.apps.sod.app import SodApp
 
-    _clear_plans()
+    clear_plan_caches()
     app = SodApp(n=80, backend="vec")
     for _ in range(5):
         app.step()
@@ -753,7 +743,6 @@ class TestDegradation:
             a[0] = a[0] * 2.0
 
         counters = PerfCounters()
-        _clear_plans()
         with counters_scope(counters), swap(native=True), telemetry.tracing() as trc:
             for _ in range(5):
                 ops.par_loop(double, blk, [(0, 16)], u(ops.RW), backend="vec")
@@ -806,7 +795,6 @@ class TestDegradation:
             a[0] = np.exp(a[0])  # exp: NumPy SIMD is not libm -> declined
 
         counters = PerfCounters()
-        _clear_plans()
         with counters_scope(counters), swap(native=True):
             ops.par_loop(transcendental, blk, [(0, 16)], u(ops.RW), backend="vec")
         with_native = u.interior.copy()
@@ -814,7 +802,7 @@ class TestDegradation:
         assert counters.native_calls == 0
 
         u.interior[...] = np.linspace(0.5, 2.0, 16)
-        _clear_plans()
+        clear_plan_caches()
         with swap(native=False):
             ops.par_loop(transcendental, blk, [(0, 16)], u(ops.RW), backend="vec")
         np.testing.assert_array_equal(with_native, u.interior)
@@ -827,7 +815,6 @@ class TestDegradation:
             a[0] = a[0] * 2.0
 
         counters = PerfCounters()
-        _clear_plans()
         with counters_scope(counters), swap(native=False):
             ops.par_loop(double, blk, [(0, 16)], u(ops.RW), backend="vec")
         assert counters.native_calls == 0
@@ -845,7 +832,6 @@ class TestDegradation:
             a[0] = a[0] * 2.0
 
         counters = PerfCounters()
-        _clear_plans()
         with counters_scope(counters), swap(native=True):
             ops.par_loop(double, blk, [(0, 16)], u(ops.RW), backend="vec")
             u.data = u.data.copy()  # rebind storage under the plan
@@ -962,10 +948,9 @@ class TestNativeTelemetry:
             a[0] = a[0] * 2.0
 
         counters = PerfCounters()
-        _clear_plans()
         with counters_scope(counters), swap(native=True), telemetry.tracing() as trc:
             ops.par_loop(double, blk, [(0, 16)], u(ops.RW), backend="vec")
-            _clear_plans()  # force a second plan build: warm cache this time
+            clear_plan_caches()  # force a second plan build: warm cache this time
             ops.par_loop(double, blk, [(0, 16)], u(ops.RW), backend="vec")
         spans = [e.name for e in trc.events() if isinstance(e, telemetry.SpanEvent)]
         instants = [e.name for e in trc.events()
@@ -1003,8 +988,6 @@ class TestNativeTelemetry:
         def blend(b, a):
             a[0, 0] = 0.5 * (a[0, 0] + b[0, 0])
 
-        _clear_plans()
-        lazy_mod.clear_chain_cache()
         blk = ops.Block(2)
         u = ops.Dat(blk, (24, 24), halo_depth=2, name="u")
         v = ops.Dat(blk, (24, 24), halo_depth=2, name="v")
@@ -1015,7 +998,6 @@ class TestNativeTelemetry:
                          backend="vec")
             ops.par_loop(blend, blk, r, v(ops.READ), u(ops.RW), backend="vec")
             lazy_mod.flush("end")
-        lazy_mod.clear_chain_cache()
         assert counters.lazy_tiles > 4
         assert counters.native_fallbacks == 2
         assert counters.native_declines == {
