@@ -29,14 +29,11 @@ class CloverLeafApp:
     """CloverLeaf 2D written against the OPS API."""
 
     def __init__(self, state: CloverState | None = None, *, nx: int = 64, ny: int = 64,
-                 backend: str = "vec", fuse_lagrangian: bool = False):
+                 backend: str = "vec"):
         self.st = state if state is not None else clover_bm_state(nx, ny)
         self.backend = backend
         self.dt = DT_INIT
         self.step_count = 0
-        #: execute the PdV-predictor / EOS / revert pointwise run as one
-        #: tile-fused loop chain (the Section-VI locality optimisation)
-        self.fuse_lagrangian = fuse_lagrangian
 
     # -- helpers --------------------------------------------------------------------
 
@@ -106,58 +103,40 @@ class CloverLeafApp:
         nx, ny = st.nx, st.ny
         cells = [(0, nx), (0, ny)]
         nodes = [(0, nx + 1), (0, ny + 1)]
-        predictor = [
-            (
-                K.make_pdv_kernel(self.dt, st.dx, st.dy, corrector=False),
-                cells,
-                (
-                    st.xvel0(ops.READ, K.S_NODE4),
-                    st.yvel0(ops.READ, K.S_NODE4),
-                    st.density0(ops.READ),
-                    st.energy0(ops.READ),
-                    st.pressure(ops.READ),
-                    st.viscosity(ops.READ),
-                    st.density1(ops.WRITE),
-                    st.energy1(ops.WRITE),
-                ),
-                "pdv_predict",
-                25,
-            ),
-            (
-                K.ideal_gas_kernel,
-                cells,
-                (
-                    st.density1(ops.READ),
-                    st.energy1(ops.READ),
-                    st.pressure(ops.WRITE),
-                    st.soundspeed(ops.WRITE),
-                ),
-                "ideal_gas",
-                5,
-            ),
-            (
-                K.revert_kernel,
-                cells,
-                (
-                    st.density0(ops.READ),
-                    st.energy0(ops.READ),
-                    st.density1(ops.WRITE),
-                    st.energy1(ops.WRITE),
-                ),
-                "revert",
-                0,
-            ),
-        ]
-        if self.fuse_lagrangian and not hasattr(self, "lb"):
-            from repro.ops.fusion import LoopChain
-
-            chain = LoopChain(tile_shape=(64, 64))
-            for kern, ranges, args, name, flops in predictor:
-                chain.add(kern, st.block, ranges, *args, name=name, flops_per_point=flops)
-            chain.execute(backend=self.backend)
-        else:
-            for kern, ranges, args, name, flops in predictor:
-                self._loop(kern, ranges, *args, name=name, flops=flops)
+        self._loop(
+            K.make_pdv_kernel(self.dt, st.dx, st.dy, corrector=False),
+            cells,
+            st.xvel0(ops.READ, K.S_NODE4),
+            st.yvel0(ops.READ, K.S_NODE4),
+            st.density0(ops.READ),
+            st.energy0(ops.READ),
+            st.pressure(ops.READ),
+            st.viscosity(ops.READ),
+            st.density1(ops.WRITE),
+            st.energy1(ops.WRITE),
+            name="pdv_predict",
+            flops=25,
+        )
+        self._loop(
+            K.ideal_gas_kernel,
+            cells,
+            st.density1(ops.READ),
+            st.energy1(ops.READ),
+            st.pressure(ops.WRITE),
+            st.soundspeed(ops.WRITE),
+            name="ideal_gas",
+            flops=5,
+        )
+        self._loop(
+            K.revert_kernel,
+            cells,
+            st.density0(ops.READ),
+            st.energy0(ops.READ),
+            st.density1(ops.WRITE),
+            st.energy1(ops.WRITE),
+            name="revert",
+            flops=0,
+        )
         self._apply_bcs(["pressure", "viscosity", "density0"])
         self._loop(
             K.make_accelerate_kernel(self.dt, st.dx, st.dy),

@@ -4,7 +4,8 @@ Each factory returns an accessor-indexed kernel closed over the loop's
 scalar parameters (dt, cell sizes) — the analogue of the Fortran kernels'
 module constants.  Kernels use NumPy ufuncs, which operate identically on
 the scalar accessors of the ``seq`` backend and the array accessors of the
-``vec``/``tiled`` backends, so a single source serves every target.
+``vec`` backend (whole ranges or lazy cross-loop tiles), so a single source
+serves every target.
 
 Stencil declarations for every kernel are collected in :data:`STENCILS`.
 """

@@ -5,8 +5,9 @@ closes the loop and runs it.  Certified kernels — those whose
 :class:`repro.lint.abstract.KernelCertificate` proves complete lowering,
 purity and bounded extents — are lowered from the kernel IR to a small C
 translation unit, compiled once into an on-disk shared-object cache, and
-dispatched as a tier *inside* the existing execplan plans, so the lazy
-tiling queue and the serving layer inherit compiled execution for free.
+dispatched as a tier *inside* the existing execplan plans, so eager loops,
+lazy cross-loop tiles and distributed ranks all inherit compiled execution
+for free.
 
 Admission is deliberately bitwise-conservative: only loops whose C
 execution is IEEE-identical to the vec path are compiled (elementwise

@@ -40,8 +40,6 @@ from repro.ops.parloop import par_loop, set_default_backend
 from repro.ops.execplan import CompiledOpsLoop, clear_plan_cache, plan_cache_stats, set_plan_cache_capacity
 from repro.ops.halo import Halo, HaloGroup
 from repro.ops.decomp import DecomposedBlock
-from repro.ops.tiling import tiled_ranges
-from repro.ops.fusion import LoopChain
 from repro.ops.lazy import (
     chain_cache_stats,
     clear_chain_cache,
@@ -75,8 +73,6 @@ __all__ = [
     "Halo",
     "HaloGroup",
     "DecomposedBlock",
-    "tiled_ranges",
-    "LoopChain",
     "build_tile_schedule",
     "chain_cache_stats",
     "clear_chain_cache",

@@ -2,27 +2,25 @@
 
 The structured-mesh analogue of :mod:`repro.op2.execplan` (paper Sections
 II-C and VI): everything a loop re-derives per call from its declared
-stencils and ranges — range validation, shifted region views, the tile
-decomposition, the loop event, traffic accounting — is computed on the
-first execution and replayed afterwards.
+stencils and ranges — range validation, shifted region views, the loop
+event, traffic accounting — is computed on the first execution and
+replayed afterwards.
 
 A :class:`CompiledOpsLoop` holds:
 
 * the validated argument list and the prebuilt loop event,
 * the native tier's compiled kernel when admission succeeds, otherwise one
-  :class:`FastAccessor` per dat argument (per tile on the ``tiled``
-  backend): the shifted storage views for every declared stencil offset,
-  computed once — the interpreted :class:`~repro.ops.accessor.RangeAccessor`
-  re-slices on every ``u[off]`` of every invocation,
-* the tile list for ``tiled`` sweeps,
+  :class:`FastAccessor` per dat argument: the shifted storage views for
+  every declared stencil offset, computed once — the interpreted
+  :class:`~repro.ops.accessor.RangeAccessor` re-slices on every ``u[off]``
+  of every invocation,
 * the loop's exact traffic/flop accounting as precomputed constants.
 
 A plan is *range-parametric*: it is built, validated and admitted once for
 the loop's full ranges, and ``execute(args, ranges)`` replays it over any
 sub-range of them.  That is how :mod:`repro.ops.lazy` drives cross-loop
-tiles — one plan per queued loop, the tile bounds a run-time argument —
-and how the ``tiled`` backend sweeps its own tiles through one native
-object.  The native storage-bounds proof over the full range covers every
+tiles — one plan per queued loop, the tile bounds a run-time argument.
+The native storage-bounds proof over the full range covers every
 sub-range; ``execute`` checks the containment rather than trusting it.
 
 Reduction handles are *slots*, not captures: apps routinely build a fresh
@@ -55,7 +53,6 @@ from repro.telemetry import tracer as _trace
 from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
-from repro.ops.tiling import tiled_ranges
 
 __all__ = [
     "CompiledOpsLoop",
@@ -68,7 +65,7 @@ __all__ = [
 
 #: backends the compiled path covers; ``seq`` deliberately stays the
 #: untouched interpreted semantic baseline
-FAST_BACKENDS = frozenset({"vec", "tiled"})
+FAST_BACKENDS = frozenset({"vec"})
 
 
 class FastAccessor:
@@ -122,7 +119,6 @@ class CompiledOpsLoop:
         backend: str,
         loop_name: str,
         flops_per_point: int,
-        tile_shape: tuple[int, ...] | None,
     ):
         from repro.ops import parloop as _parloop  # deferred: parloop imports us
 
@@ -154,18 +150,15 @@ class CompiledOpsLoop:
             if not any(d is a.dat for d in self.written_dats):
                 self.written_dats.append(a.dat)
 
-        # (c) tile decomposition: ``tiled`` sweeps its own sub-ranges
         self.ranges = tuple(ranges)
-        self.tile_list = tiled_ranges(ranges, tile_shape) if backend == "tiled" else None
-        self.tiles = len(self.tile_list) if self.tile_list is not None else 1
 
-        # (d) accounting constants: the interpreted path's exact counter
+        # (c) accounting constants: the interpreted path's exact counter
         # arithmetic, run once against a scratch register.  Every traffic
         # term is linear in the point count, so a sub-range scales the
         # per-point quotients (flops, bytes read, bytes written, indirect
         # reads) by its own count
         scratch = PerfCounters()
-        _parloop._account(loop_name, ranges, args, scratch, flops_per_point, self.tiles)
+        _parloop._account(loop_name, ranges, args, scratch, flops_per_point)
         acct = self.acct = scratch.loops[loop_name]
         n = acct.iterations
         self.per_point = tuple(
@@ -182,20 +175,19 @@ class CompiledOpsLoop:
                 guards[a.dat.token] = (a.dat, a.dat.data)
         self._guards = list(guards.values())
 
-        # (e) native tier: one compiled C kernel, admitted for the full
+        # (d) native tier: one compiled C kernel, admitted for the full
         # range and retargeted per sub-range.  The identity guards above
         # already pin every baked storage address, so a native plan needs
         # no extra invalidation machinery here.
         from repro.native import plan as _native  # deferred: optional tier
 
         self.native = _native.try_compile_ops(kernel, ranges, args, loop_name)
-        self.tile_accessors: list[list] = []
+        self.accessors = None
         if self.native is not None:
             self.trace_attrs["native"] = True
         else:
-            # (f) vec fallback: cached-view accessors, per tile on ``tiled``
-            for tile in self.tile_list or [ranges]:
-                self.tile_accessors.append(self._accessors(tile))
+            # (e) vec fallback: cached-view accessors over the full range
+            self.accessors = self._accessors(ranges)
 
     def _accessors(self, ranges) -> list:
         """Cached-view accessors over ``ranges``; reduction slots stay open."""
@@ -273,16 +265,12 @@ class CompiledOpsLoop:
             with Timer(rec):
                 if native is not None:
                     counters.record_native_call()
-                    if whole and self.tile_list is not None:
-                        for tile in self.tile_list:
-                            native.execute(args, tile)
-                    else:
-                        native.execute(args, ranges)
+                    native.execute(args, ranges)
                 else:
-                    for accs in self.tile_accessors if whole else (self._accessors(ranges),):
-                        for i in red_slots:
-                            accs[i] = args[i]
-                        kernel(*accs)
+                    accs = self.accessors if whole else self._accessors(ranges)
+                    for i in red_slots:
+                        accs[i] = args[i]
+                    kernel(*accs)
         finally:
             if span is not None:
                 trc.end(span)
@@ -325,7 +313,6 @@ def _signature(
     backend: str,
     loop_name: str,
     flops_per_point: int,
-    tile_shape: tuple[int, ...] | None,
 ) -> tuple:
     parts: list = [
         kernel_token(kernel),
@@ -334,7 +321,6 @@ def _signature(
         backend,
         loop_name,
         flops_per_point,
-        tile_shape,
     ]
     for a in args:
         if isinstance(a, Reduction):
@@ -354,7 +340,6 @@ def lookup(
     backend: str,
     loop_name: str,
     flops_per_point: int,
-    tile_shape: tuple[int, ...] | None,
 ) -> CompiledOpsLoop | None:
     """Fetch (or compile) the plan for this loop site; None -> slow path.
 
@@ -371,12 +356,12 @@ def lookup(
         return None
 
     try:
-        key = _signature(kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape)
+        key = _signature(kernel, block, ranges, args, backend, loop_name, flops_per_point)
     except (AttributeError, TypeError):
         return None
     # the build runs inside this call, so a traced plan build nests under lookup
     return plans.get(
         key, CompiledOpsLoop,
-        kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape,
+        kernel, block, ranges, args, backend, loop_name, flops_per_point,
     )
 

@@ -33,8 +33,8 @@ never stale: a replaced dat draws a new token and misses instead.
 
 Exactness rules (what may fuse):
 
-* ``vec``/``tiled`` loops over a real :class:`~repro.ops.block.Block`
-  fuse; ``seq`` is the interpreted reference semantics and stays whole;
+* ``vec`` loops over a real :class:`~repro.ops.block.Block` fuse; ``seq``
+  is the interpreted reference semantics and stays whole;
 * loops folding an ``inc`` reduction never fuse — float addition is not
   associative, and tiling would reorder the partial sums (``min``/``max``
   are exact under any partition and do fuse);
@@ -126,7 +126,6 @@ class QueuedLoop:
     backend: str
     name: str
     flops_per_point: int
-    tile_shape: tuple | None
     sig: tuple
     spec: LoopSpec
     #: (dat token, itemsize) per distinct dat argument — the bytes-saved model
@@ -174,20 +173,19 @@ def enqueue(
     backend: str,
     name: str,
     flops_per_point: int,
-    tile_shape: tuple | None,
 ) -> bool:
     """Queue one loop; False means the caller must execute it eagerly.
 
-    Only ``vec``/``tiled`` loops queue: ``seq`` is the per-point
-    interpreted reference and unknown backends must raise eagerly with
-    their usual diagnostics.  Validation runs here so malformed loops
+    Only ``vec`` loops queue: ``seq`` is the per-point interpreted
+    reference and unknown backends must raise eagerly with their usual
+    diagnostics.  Validation runs here so malformed loops
     still fail at the call site, not at some distant flush.
     """
     from repro.lint.abstract import certify_callable
     from repro.ops.parloop import DatArg, _validate
     from repro.ops.reduction import Reduction
 
-    if backend not in ("vec", "tiled"):
+    if backend != "vec":
         return False
     _validate(block, ranges, args, name)
 
@@ -230,7 +228,6 @@ def enqueue(
         block.token,
         ranges_key,
         backend,
-        tile_shape,
         fusable,
         tuple(sig_args),
     )
@@ -242,7 +239,6 @@ def enqueue(
         backend=backend,
         name=name,
         flops_per_point=flops_per_point,
-        tile_shape=tile_shape,
         sig=sig,
         spec=spec,
         dat_items=tuple((tok, rec[3]) for tok, rec in merged.items()),
@@ -397,7 +393,7 @@ def _execute_whole(q: QueuedLoop) -> None:
 
     _execute_loop(
         q.kernel, q.block, q.ranges, q.args, q.backend, q.name,
-        q.flops_per_point, False, q.tile_shape,
+        q.flops_per_point, False,
     )
 
 
@@ -406,8 +402,7 @@ def _plan_for(q: QueuedLoop):
     from repro.ops import execplan
 
     return execplan.lookup(
-        q.kernel, q.block, q.ranges, q.args, q.backend, q.name,
-        q.flops_per_point, q.tile_shape,
+        q.kernel, q.block, q.ranges, q.args, q.backend, q.name, q.flops_per_point
     )
 
 

@@ -4,10 +4,11 @@ Backends:
 
 * ``seq`` — per-point execution with scalar accessors (debugging reference),
 * ``vec`` — one sweep with whole-range array accessors (production; the
-  analogue of OPS's generated vectorised CPU code),
-* ``tiled`` — the vec sweep split into cache-sized tiles (the locality
-  optimisation of paper Section VI; also what the OpenMP/CUDA targets look
-  like structurally, since centre-point writes need no colouring).
+  analogue of OPS's generated vectorised CPU code).
+
+Cache blocking (the locality optimisation of paper Section VI) is not a
+backend: lazy execution (:mod:`repro.ops.lazy`) queues ``vec`` loops and
+replays them in skewed cross-loop tiles.
 
 Stencil checking (config ``check_stencils`` or ``check=True``) validates
 every access against the declared stencils, reproducing OPS's consistency
@@ -39,7 +40,6 @@ from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
 from repro.ops.stencil import Stencil
-from repro.ops.tiling import tiled_ranges
 
 _default_backend = "vec"
 
@@ -58,8 +58,8 @@ LoopArg = DatArg | Reduction
 
 def set_default_backend(name: str) -> None:
     """Set the process-wide default backend for OPS loops."""
-    if name not in ("seq", "vec", "tiled"):
-        raise APIError(f"unknown OPS backend {name!r}; available: seq, vec, tiled")
+    if name not in ("seq", "vec"):
+        raise APIError(f"unknown OPS backend {name!r}; available: seq, vec")
     global _default_backend
     _default_backend = name
 
@@ -110,14 +110,13 @@ def _account(
     args: Sequence[LoopArg],
     counters: PerfCounters,
     flops_per_point: int,
-    tiles: int,
 ) -> None:
     n = _npoints(ranges)
     rec = counters.loop(name)
     rec.invocations += 1
     rec.iterations += n
     rec.flops += flops_per_point * n
-    rec.colours = max(rec.colours, tiles)
+    rec.colours = max(rec.colours, 1)
     for i, arg in enumerate(args):
         if isinstance(arg, Reduction):
             continue
@@ -210,7 +209,6 @@ def par_loop(
     name: str | None = None,
     flops_per_point: int = 0,
     check: bool | None = None,
-    tile_shape: tuple[int, ...] | None = None,
 ) -> None:
     """Execute ``kernel`` on every grid point of ``ranges`` within ``block``.
 
@@ -218,10 +216,10 @@ def par_loop(
     half-open.  Negative coordinates reach into the halo (boundary-condition
     loops do this, within each dat's ``halo_depth``).
 
-    On the ``vec`` and ``tiled`` backends the first invocation of a loop
-    signature compiles a :class:`repro.ops.execplan.CompiledOpsLoop`; later
-    invocations replay it (validation, region views, tile decomposition and
-    accounting are all amortised).  Stencil checking and
+    On the ``vec`` backend the first invocation of a loop signature
+    compiles a :class:`repro.ops.execplan.CompiledOpsLoop`; later
+    invocations replay it (validation, region views and accounting are all
+    amortised).  Stencil checking and
     ``verify_descriptors`` bypass the compiled path so the checkers always
     see raw execution, and ``seq`` remains the interpreted reference.
 
@@ -245,8 +243,7 @@ def par_loop(
             and not cfg.verify_descriptors
             and not observers_active()
             and _lazy.enqueue(
-                kernel, block, ranges_t, args, chosen, loop_name,
-                flops_per_point, tile_shape,
+                kernel, block, ranges_t, args, chosen, loop_name, flops_per_point
             )
         ):
             return
@@ -254,8 +251,7 @@ def par_loop(
         # program order and must land first
         _lazy.flush_point("eager_par_loop")
     _execute_loop(
-        kernel, block, ranges_t, args, chosen, loop_name, flops_per_point,
-        do_check, tile_shape,
+        kernel, block, ranges_t, args, chosen, loop_name, flops_per_point, do_check
     )
 
 
@@ -268,7 +264,6 @@ def _execute_loop(
     loop_name: str,
     flops_per_point: int,
     do_check: bool,
-    tile_shape: tuple[int, ...] | None,
 ) -> None:
     """Eager execution of one loop (the dispatch target of lazy flushes too)."""
     cfg = get_config()
@@ -280,7 +275,7 @@ def _execute_loop(
         and isinstance(block, Block)
     ):
         compiled = execplan.lookup(
-            kernel, block, ranges_t, args, chosen, loop_name, flops_per_point, tile_shape
+            kernel, block, ranges_t, args, chosen, loop_name, flops_per_point
         )
         if compiled is not None:
             compiled.execute(args)
@@ -305,7 +300,6 @@ def _execute_loop(
     trc = _trace.ACTIVE
     counters = active_counters()
     rec = counters.loop(loop_name)
-    tiles = 1
     sanitize = cfg.verify_descriptors
     guard_loop = loop_name if sanitize else None
     if sanitize:
@@ -326,13 +320,8 @@ def _execute_loop(
                 _run_seq(kernel, ranges_t, args, do_check, guard_loop)
             elif chosen == "vec":
                 _run_vec(kernel, ranges_t, args, do_check, guard_loop)
-            elif chosen == "tiled":
-                tile_list = tiled_ranges(ranges_t, tile_shape)
-                tiles = len(tile_list)
-                for tile in tile_list:
-                    _run_vec(kernel, tile, args, do_check, guard_loop)
             else:
-                raise APIError(f"unknown OPS backend {chosen!r}; available: seq, vec, tiled")
+                raise APIError(f"unknown OPS backend {chosen!r}; available: seq, vec")
             if sanitize:
                 ops_post_check(loop_name, ranges_t, args, snaps)
                 counters.record_sanitized_loop()
@@ -346,7 +335,7 @@ def _execute_loop(
     finally:
         if span is not None:
             trc.end(span)
-    _account(loop_name, ranges_t, args, counters, flops_per_point, tiles)
+    _account(loop_name, ranges_t, args, counters, flops_per_point)
 
     for arg in args:
         if isinstance(arg, DatArg) and arg.access.writes:

@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+from repro.common.errors import APIError
 from repro.lint.dataflow import (
     AccessRecord,
     DependenceGraph,
@@ -49,9 +50,8 @@ __all__ = [
     "DEFAULT_TILE",
 ]
 
-#: default per-dimension tile width when the caller does not pin one;
-#: matches ops.tiling.DEFAULT_TILE so intra-loop and cross-loop tiling
-#: agree on granularity
+#: default per-dimension tile width when the caller does not pin one
+#: (doubles: a 64 x 64 tile is 32 KiB per field)
 DEFAULT_TILE = 64
 
 
@@ -143,7 +143,7 @@ def _cut_grid(
     for d in range(ndim):
         lo = min(s.ranges[d][0] for s in specs)
         hi = max(s.ranges[d][1] for s in specs)
-        step = max(1, int(tile_shape[d]))
+        step = int(tile_shape[d])
         # the last cut must stay >= every loop's upper bound even after the
         # largest downward-effective shift; padding by the full skew span is
         # enough because shifts are in [0, (m-1)*e_d]
@@ -179,8 +179,11 @@ def build_tile_schedule(
 
     Groups of one loop (or groups whose iteration spaces are degenerate)
     come back unfused; the executor runs those whole, in order, which is
-    exactly eager semantics.
+    exactly eager semantics.  A ``tile_shape`` of the wrong rank is padded
+    with :data:`DEFAULT_TILE` or truncated; an edge below 1 is an error.
     """
+    if tile_shape and any(int(t) < 1 for t in tile_shape):
+        raise APIError("tile edges must be positive")
     schedule = ChainSchedule(n_loops=len(specs))
     for members in _group_chain(list(specs), max_group):
         group_specs = [specs[i] for i in members]

@@ -88,14 +88,6 @@ class TestOriginalParity:
         for key in sa:
             assert sa[key] == pytest.approx(sb[key], rel=1e-13), key
 
-    def test_tiled_backend_matches_vec(self):
-        a = CloverLeafApp(nx=20, ny=20, backend="tiled")
-        b = CloverLeafApp(nx=20, ny=20, backend="vec")
-        sa = a.run(3)
-        sb = b.run(3)
-        for key in sa:
-            assert sa[key] == pytest.approx(sb[key], rel=1e-13), key
-
 
 class TestLoopChain:
     def test_kernel_families_present(self):
@@ -152,30 +144,6 @@ class TestDistributed:
 
         dts = run_spmd(4, main)
         assert len(set(dts)) == 1
-
-
-class TestFusedLagrangian:
-    def test_fused_matches_unfused_bitwise(self):
-        a = CloverLeafApp(nx=20, ny=16, fuse_lagrangian=False)
-        b = CloverLeafApp(nx=20, ny=16, fuse_lagrangian=True)
-        sa = a.run(4)
-        sb = b.run(4)
-        for key in sa:
-            assert sa[key] == sb[key], key
-        np.testing.assert_array_equal(
-            a.st.density0.interior, b.st.density0.interior
-        )
-
-    def test_fused_groups_the_predictor(self):
-        from repro.common.profiling import loop_chain_record
-
-        app = CloverLeafApp(nx=8, ny=8, fuse_lagrangian=True)
-        with loop_chain_record() as events:
-            app.step()
-        names = [e.name for e in events]
-        # fusion preserves the loop sequence (tiles re-run loops in order,
-        # so the three predictor loops appear interleaved per tile)
-        assert "pdv_predict" in names and "revert" in names
 
 
 class TestSymmetry:

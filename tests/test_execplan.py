@@ -89,7 +89,7 @@ class TestOpsEquivalence:
             "yvel": st_.yvel0.interior.copy(),
         }
 
-    @pytest.mark.parametrize("backend", ["vec", "tiled"])
+    @pytest.mark.parametrize("backend", ["vec"])
     def test_cloverleaf_compiled_is_bitwise(self, backend):
         sum_i, fields_i = self._clover(backend, False)
         sum_c, fields_c = self._clover(backend, True)
@@ -97,7 +97,7 @@ class TestOpsEquivalence:
         for key in fields_i:
             np.testing.assert_array_equal(fields_c[key], fields_i[key], err_msg=key)
 
-    @pytest.mark.parametrize("backend", ["vec", "tiled"])
+    @pytest.mark.parametrize("backend", ["vec"])
     def test_multiblock_compiled_is_bitwise(self, backend):
         import repro.ops.parloop as opl
 
@@ -425,7 +425,7 @@ class TestRangeArgument:
         block, d, scale = TestOpsRegistry._site()
         full = [(1, 5), (0, 5)]
         args = (d(ops.RW),)
-        plan = ops_exec.lookup(scale, block, full, args, "vec", "scale", 0, None)
+        plan = ops_exec.lookup(scale, block, full, args, "vec", "scale", 0)
         before = d.data.copy()
         for bad in (
             [(0, 5), (0, 5)],   # one row below the plan's range

@@ -35,6 +35,7 @@ from repro.apps.multiblock.app import MultiBlockDiffusion
 from repro.apps.sod import SodApp
 from repro.common.config import get_config, swap
 from repro.common.counters import PerfCounters
+from repro.common.errors import APIError
 from repro.common.profiling import counters_scope
 from repro.common.report import timing_report
 from repro.lint.dataflow import AccessRecord, build_dependence_graph
@@ -453,6 +454,14 @@ class TestSchedulerProperties:
         ]
         schedule = build_tile_schedule(specs, tile_shape=(4,))
         assert not any(g.fused for g in schedule.groups)
+
+    def test_nonpositive_tile_edge_rejected(self):
+        """``lazy_tile=(0, 64)`` is an error, not a silent one-row cut."""
+        acc = (AccessRecord("a", True, True, ((0, 0),)),)
+        specs = [LoopSpec(ranges=((0, 16), (0, 16)), accesses=acc, block_id="b")] * 2
+        for tile in ((0, 4), (4, -1)):
+            with pytest.raises(APIError, match="tile edges must be positive"):
+                build_tile_schedule(specs, tile_shape=tile)
 
 
 class TestDependenceGraphPruning:

@@ -63,23 +63,6 @@ class TestSimmpiProbe:
         assert run_spmd(2, main)[1] == (True, False)
 
 
-class TestFusionIntersect:
-    def test_partial_overlap(self):
-        from repro.ops.fusion import _intersect
-
-        assert _intersect([(0, 10)], [(5, 20)]) == [(5, 10)]
-
-    def test_disjoint_is_none(self):
-        from repro.ops.fusion import _intersect
-
-        assert _intersect([(0, 5)], [(5, 10)]) is None
-
-    def test_multi_dim(self):
-        from repro.ops.fusion import _intersect
-
-        assert _intersect([(0, 4), (2, 8)], [(1, 9), (0, 5)]) == [(1, 4), (2, 5)]
-
-
 class TestMeshIOWithAirfoil:
     def test_airfoil_mesh_roundtrip_runs(self, tmp_path):
         """A mesh written to the npz store reloads into a runnable app."""

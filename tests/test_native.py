@@ -343,7 +343,7 @@ class TestRangeParametricPlan:
         blk, args, observe, reset = self._site(kernel)
         with swap(native=native):
             first = args()
-            plan = execplan.lookup(kernel, blk, full, first, "vec", kernel.__name__, 0, None)
+            plan = execplan.lookup(kernel, blk, full, first, "vec", kernel.__name__, 0)
         assert (plan.native is not None) == (native and kernel is not _smooth_exp)
         reset()
         plan.execute(first)
@@ -376,32 +376,6 @@ class TestRangeParametricPlan:
                 np.testing.assert_array_equal(got, want)
 
         prop()
-
-    @requires_cc
-    def test_tiled_backend_shares_one_native(self):
-        """``tiled`` sweeps its tiles through the plan's single native
-        object (no per-tile admission) and stays bitwise equal to vec."""
-        from repro.ops import execplan
-
-        def run(backend, native):
-            clear_plan_caches()
-            blk, args, observe, reset = self._site(_smooth)
-            reset()
-            counters = PerfCounters()
-            with counters_scope(counters), swap(native=native):
-                for _ in range(2):
-                    ops.par_loop(_smooth, blk, self.RANGES, *args(),
-                                 backend=backend, tile_shape=(8, 8))
-                plan = execplan.lookup(_smooth, blk, self.RANGES, args(), backend,
-                                       "_smooth", 0, (8, 8))
-            return observe(())[0], plan, counters
-
-        want, _, _ = run("vec", False)
-        got, plan, counters = run("tiled", True)
-        np.testing.assert_array_equal(got, want)
-        assert plan.tiles == 9 and plan.native is not None
-        assert counters.native_fallbacks == 0
-        assert counters.native_cache_hits + counters.native_cache_misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +539,19 @@ def _summary(a, b, total, weighted, lo):
 
 
 class TestStagedOpsInc:
+    RANGES = [(0, 36), (2, 29)]
+    #: 3 x 4 sub-ranges of RANGES, swept in row-major order
+    TILES = [((x0, x1), (y0, y1))
+             for x0, x1 in ((0, 16), (16, 32), (32, 36))
+             for y0, y1 in ((2, 10), (10, 18), (18, 26), (26, 29))]
+
     @requires_cc
-    @pytest.mark.parametrize("backend", ["vec", "tiled"])
-    def test_native_equals_vec_bitwise(self, backend):
+    @pytest.mark.parametrize("sweep", ["vec", "tiled"])
+    def test_native_equals_vec_bitwise(self, sweep):
         """One sweep per ``.inc()`` call, folded by ``Reduction.inc`` itself
-        in call order — per tile on ``tiled``, exactly as vec does."""
+        in call order — per sub-range when ``tiled`` drives the plan tile by
+        tile, exactly as vec does."""
+        from repro.ops import execplan
 
         def run(native):
             clear_plan_caches()
@@ -584,17 +566,21 @@ class TestStagedOpsInc:
             counters = PerfCounters()
             with counters_scope(counters), swap(native=native):
                 for _ in range(2):
-                    ops.par_loop(
-                        _summary, blk, [(0, 36), (2, 29)], a(ops.READ, ops.S2D_5PT),
-                        b(ops.READ), total, weighted, lo,
-                        backend=backend, tile_shape=(16, 8),
-                    )
+                    args = (a(ops.READ, ops.S2D_5PT), b(ops.READ), total, weighted, lo)
+                    if sweep == "vec":
+                        ops.par_loop(_summary, blk, self.RANGES, *args, backend="vec")
+                        continue
+                    plan = execplan.lookup(_summary, blk, self.RANGES, args, "vec",
+                                           "_summary", 0)
+                    for tile in self.TILES:
+                        plan.execute(args, tile)
             return (total.value, weighted.value, lo.value), counters
 
         want, _ = run(False)
         got, counters = run(True)
         assert got == want
-        assert counters.native_calls == 2 and not counters.native_declines
+        calls = 2 if sweep == "vec" else 2 * len(self.TILES)
+        assert counters.native_calls == calls and not counters.native_declines
 
     def test_unstageable_folds_decline(self):
         scale = 2.0

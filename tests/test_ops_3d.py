@@ -42,16 +42,6 @@ class TestCore:
         ops.par_loop(smooth3d, blk, r, u(ops.READ, S3D_7PT), v(ops.WRITE), backend="vec")
         np.testing.assert_allclose(v.interior, ref)
 
-    def test_tiled_3d(self):
-        blk, u, v = setup(8)
-        r = [(1, 7)] * 3
-        ops.par_loop(smooth3d, blk, r, u(ops.READ, S3D_7PT), v(ops.WRITE),
-                     backend="tiled", tile_shape=(3, 3, 3))
-        ref = v.interior.copy()
-        v.data[:] = 0
-        ops.par_loop(smooth3d, blk, r, u(ops.READ, S3D_7PT), v(ops.WRITE))
-        np.testing.assert_allclose(v.interior, ref)
-
     def test_stencil_checking_3d(self):
         blk, u, v = setup(6)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro import ops
 from repro.ops.decomp import DecomposedBlock, _split_extents
-from repro.ops.tiling import choose_tile_shape, tile_working_set_bytes, tiled_ranges
 from repro.simmpi import World, run_spmd
 
 
@@ -136,25 +135,6 @@ class TestDistributedLoops:
 
         out = run_spmd(4, main)
         assert out[1] == 0.0 and out[0] != 0.0
-
-
-class TestTiling:
-    def test_tiles_cover_range_exactly(self):
-        tiles = tiled_ranges([(0, 10), (0, 7)], (4, 3))
-        covered = np.zeros((10, 7), dtype=int)
-        for t in tiles:
-            covered[t[0][0] : t[0][1], t[1][0] : t[1][1]] += 1
-        assert (covered == 1).all()
-
-    def test_single_tile_when_large(self):
-        assert len(tiled_ranges([(0, 5)], (100,))) == 1
-
-    def test_working_set(self):
-        assert tile_working_set_bytes((8, 8), 3) == 8 * 8 * 3 * 8
-
-    def test_choose_tile_fits_cache(self):
-        shape = choose_tile_shape([(0, 1000), (0, 1000)], n_fields=10, cache_bytes=256 * 1024)
-        assert tile_working_set_bytes(shape, 10) <= 256 * 1024
 
 
 class TestDecompositionProperty:

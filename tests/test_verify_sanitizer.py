@@ -269,7 +269,7 @@ class TestOpsViolations:
             vv[0, 0] = 0.25 * (uv[1, 0] + uv[-1, 0] + uv[0, 1] + uv[0, -1])
 
         inner = [(1, 5), (1, 4)]
-        for backend in ("seq", "vec", "tiled"):
+        for backend in ("seq", "vec"):
             with sanitized():
                 ops.par_loop(good, block, inner, u(ops.READ, ops.S2D_5PT),
                              v(ops.WRITE), name="good_stencil", backend=backend)
