@@ -8,11 +8,15 @@ square over an ``N x N`` grid:
 * **tile-size sweep** — ``lazy_scope(lazy_tile=(e, e))`` square tiles and
   ``lazy_tile=(e, N)`` whole-row tiles (``e`` contiguous rows per tile)
   at every edge ``e``, against eager execution;
-* **fusion vs eager** — ``lazy_scope()`` with the adaptive default tile
-  against eager, with fused groups, tiles and the modelled DRAM traffic
-  saved read from :class:`~repro.common.counters.PerfCounters`.
+* **fusion vs eager** — ``lazy_scope()`` with the default tile (whole
+  contiguous rows) against eager, with fused groups, tiles and the
+  modelled DRAM traffic saved read from
+  :class:`~repro.common.counters.PerfCounters`.
 
-The only gate is correctness: every tiled run must equal eager bitwise.
+The gates are correctness — every tiled run must equal eager bitwise —
+and one deterministic count: the default schedule has exactly the tiles
+of ``lazy_tile=(DEFAULT_TILE, N)``, so a default that cuts the
+contiguous dimension again fails here.
 Speed is recorded as measured (median of ``REPEATS`` wall times per mode)
 and never asserted — on this substrate a tile is a NumPy sub-range sweep,
 so small tiles pay per-tile dispatch that real cache blocking would not.
@@ -32,6 +36,7 @@ from _support import collect, emit
 from repro import ops
 from repro.common.config import swap
 from repro.common.plancache import clear_plan_caches
+from repro.ops.tileplan import DEFAULT_TILE
 
 N = 256
 TILE_EDGES = [16, 32, 64, 128, 256]
@@ -145,10 +150,13 @@ def test_ablation_fusion_vs_eager():
     lazy_ms, c, fields = _measure(ops.lazy_scope)
     ok = _bitwise(fields, ref)
     moved = sum(r.bytes_moved for r in c.loops.values())
+    # the default is whole contiguous rows: DEFAULT_TILE-row bands, N wide
+    _, rows_c, _ = _measure(lambda: ops.lazy_scope(lazy_tile=(DEFAULT_TILE, N)))
     rows = [
         f"chain axpy -> smooth -> square over {N}x{N} (median of {REPEATS}):",
         f"  lazy_scope(): {c.lazy_groups} fused group(s) of {c.lazy_loops} loops "
-        f"in {c.lazy_tiles} tiles, bitwise equal to eager: {ok}",
+        f"in {c.lazy_tiles} tiles (lazy_tile=({DEFAULT_TILE}, {N}): "
+        f"{rows_c.lazy_tiles}), bitwise equal to eager: {ok}",
         f"  eager {eager_ms:.2f} ms vs lazy {lazy_ms:.2f} ms "
         f"({lazy_ms / eager_ms:.2f}x)",
         f"  modelled DRAM traffic saved: {c.lazy_bytes_saved / 1e6:.2f} of "
@@ -164,12 +172,17 @@ def test_ablation_fusion_vs_eager():
                 "flushes": c.lazy_flushes, "loops": c.lazy_loops,
                 "fused_groups": c.lazy_groups, "tiles": c.lazy_tiles,
                 "bytes_saved_model": c.lazy_bytes_saved, "bytes_moved": moved,
+                "whole_row_tiles": rows_c.lazy_tiles,
             },
             "bitwise": ok,
         },
     )
     assert ok, "lazy_scope() diverged from eager"
     assert c.lazy_groups == 1 and c.lazy_tiles > 1, "the chain did not fuse"
+    assert c.lazy_tiles == rows_c.lazy_tiles, (
+        f"default tiles ({c.lazy_tiles}) are not whole-row "
+        f"{DEFAULT_TILE}x{N} bands ({rows_c.lazy_tiles})"
+    )
 
 
 if __name__ == "__main__":

@@ -87,9 +87,10 @@ class Config:
     #: drains in skewed cross-loop tiles at the first data observation
     #: (``repro.ops.lazy``).  ``REPRO_LAZY=1`` enables it process-wide
     lazy: bool = field(default_factory=lambda: _env_bool("REPRO_LAZY", False))
-    #: per-dimension cross-loop tile shape for lazy flushes; ``None`` picks
-    #: an adaptive default (``tileplan.DEFAULT_TILE`` capped to the chain's
-    #: extents)
+    #: per-dimension cross-loop tile shape for lazy flushes (an edge >= a
+    #: dimension's extent leaves it uncut); ``None`` picks bands of whole
+    #: contiguous rows: ``tileplan.DEFAULT_TILE`` rows (halved on small
+    #: extents) by the full last dimension
     lazy_tile: tuple[int, ...] | None = None
     #: maximum loops fused into one cross-loop tile group
     lazy_max_group: int = 16

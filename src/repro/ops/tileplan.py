@@ -50,8 +50,10 @@ __all__ = [
     "DEFAULT_TILE",
 ]
 
-#: default per-dimension tile width when the caller does not pin one
-#: (doubles: a 64 x 64 tile is 32 KiB per field)
+#: default rows per tile when the caller does not pin a shape (the outer
+#: dimensions are cut every DEFAULT_TILE points, the contiguous last one
+#: stays whole).  A constant, not a cache probe: row counts from 32 to 128
+#: time alike (DESIGN.md, "Scheduling")
 DEFAULT_TILE = 64
 
 
@@ -148,8 +150,12 @@ def _cut_grid(
         # largest downward-effective shift; padding by the full skew span is
         # enough because shifts are in [0, (m-1)*e_d]
         top = hi + (m - 1) * skew[d]
-        grid = list(range(lo, top, step)) + [top]
-        cuts.append(grid)
+        # no cut leaves a one-point remainder: an edge spanning the cells
+        # of a staggered mesh does not split off the extra node row (a
+        # sliver buys no locality and costs a call per loop), and an edge
+        # >= the extent does not cut.  Cuts at or past ``hi`` would only
+        # add empty intervals
+        cuts.append([lo, *range(lo + step, hi - 1, step), top])
     return cuts
 
 
@@ -180,7 +186,12 @@ def build_tile_schedule(
     Groups of one loop (or groups whose iteration spaces are degenerate)
     come back unfused; the executor runs those whole, in order, which is
     exactly eager semantics.  A ``tile_shape`` of the wrong rank is padded
-    with :data:`DEFAULT_TILE` or truncated; an edge below 1 is an error.
+    with :data:`DEFAULT_TILE` or truncated; an edge below 1 is an error,
+    an edge at least the group's extent leaves that dimension uncut.
+    Without a ``tile_shape``, tiles are bands of whole contiguous rows:
+    every dimension but the last is cut every :data:`DEFAULT_TILE` points
+    (halved on small extents), the last is never cut; a 1-D group cuts
+    its only dimension the same way, or it would not fuse at all.
     """
     if tile_shape and any(int(t) < 1 for t in tile_shape):
         raise APIError("tile edges must be positive")
@@ -200,18 +211,22 @@ def build_tile_schedule(
             if len(shape) != ndim:
                 shape = (shape + (DEFAULT_TILE,) * ndim)[:ndim]
         else:
-            # adaptive default: DEFAULT_TILE on production-sized extents,
-            # a half split on small ones, so fusion still engages on the
-            # modest meshes the test suite runs
+            # adaptive default: DEFAULT_TILE rows on production-sized
+            # extents, a half split on small ones, so fusion still engages
+            # on the modest meshes the test suite runs; the contiguous last
+            # dimension of a 2-D/3-D group gets an edge spanning its extent,
+            # since kernels sweep short row fragments at half throughput
             extents = [
                 max(s.ranges[d][1] for s in group_specs)
                 - min(s.ranges[d][0] for s in group_specs)
                 for d in range(ndim)
             ]
-            shape = tuple(
+            shape = [
                 DEFAULT_TILE if e >= 2 * DEFAULT_TILE else max(4, -(-e // 2))
                 for e in extents
-            )
+            ]
+            if ndim > 1:
+                shape[-1] = max(extents[-1], 1)  # an empty range has extent 0
         cuts = _cut_grid(group_specs, shape, skew)
         m = len(group_specs)
         shifts = [

@@ -41,7 +41,7 @@ from repro.common.report import timing_report
 from repro.lint.dataflow import AccessRecord, build_dependence_graph
 from repro.ops import lazy as lazy_mod
 from repro.ops.decomp import DecomposedBlock
-from repro.ops.tileplan import LoopSpec, build_tile_schedule
+from repro.ops.tileplan import DEFAULT_TILE, LoopSpec, build_tile_schedule
 from repro.simmpi import run_spmd
 from repro.verify import diff_backends
 
@@ -259,8 +259,8 @@ class TestDifferentialBattery:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_chain(draw):
-    ndim = draw(st.integers(1, 2))
+def _synthetic_chain(draw, ndims=(1, 2), tiles=st.integers(3, 8)):
+    ndim = draw(st.sampled_from(ndims))
     n_loops = draw(st.integers(2, 5))
     refs = ["a", "b", "c", "d"]
     specs = []
@@ -287,13 +287,36 @@ def _synthetic_chain(draw):
             )
         specs.append(LoopSpec(ranges=ranges, accesses=tuple(accs),
                               fusable=True, block_id="blk"))
-    tile = draw(st.one_of(st.none(), st.integers(3, 8)))
+    tile = draw(st.one_of(st.none(), tiles))
     return specs, (tile,) * ndim if tile else None
 
 
 @st.composite
 def chains(draw):
     return _synthetic_chain(draw)
+
+
+@st.composite
+def default_chains(draw):
+    """Chains up to 3-D under the default (whole-row) tile shape."""
+    return _synthetic_chain(draw, ndims=(1, 2, 3), tiles=st.nothing())
+
+
+def _stencil_chain(ndim, n):
+    """a -> b (+-1 stencil) -> c (+-1 stencil) -> d, the last loop
+    node-ranged: ``n + 1`` points per dimension against ``n`` cells."""
+    star = tuple(sorted({tuple(s * (d == k) for d in range(ndim))
+                         for k in range(ndim) for s in (-1, 0, 1)}))
+    centre = ((0,) * ndim,)
+    cells, nodes = ((0, n),) * ndim, ((0, n + 1),) * ndim
+    loops = [("a", "b", star, cells), ("b", "c", star, cells),
+             ("c", "d", centre, nodes)]
+    return [
+        LoopSpec(ranges=r, block_id="blk", accesses=(
+            AccessRecord(src, True, False, offs),
+            AccessRecord(dst, False, True, centre)))
+        for src, dst, offs, r in loops
+    ]
 
 
 def _assert_no_reachable_inversion(seq, src, dst, ext, label):
@@ -340,7 +363,7 @@ def _pairwise_conflicts(specs):
 
 
 class TestSchedulerProperties:
-    @given(chain=chains())
+    @given(chain=st.one_of(chains(), default_chains()))
     @settings(max_examples=60, deadline=None)
     def test_exact_once_coverage(self, chain):
         """Each loop's tile entries partition its iteration space exactly."""
@@ -371,7 +394,7 @@ class TestSchedulerProperties:
                 covered_loops.add(chain_idx)
         assert covered_loops == set(range(len(specs)))
 
-    @given(chain=chains())
+    @given(chain=st.one_of(chains(), default_chains()))
     @settings(max_examples=60, deadline=None)
     def test_dependence_edges_respected(self, chain):
         """No tile entry of a dependent loop executes before an entry of its
@@ -394,7 +417,7 @@ class TestSchedulerProperties:
                     f"edge {edge.src}->{edge.dst} ({edge.kind}, ext {ext})",
                 )
 
-    @given(chain=chains())
+    @given(chain=st.one_of(chains(), default_chains()))
     @settings(max_examples=60, deadline=None)
     def test_all_pairwise_conflicts_respected(self, chain):
         """Same legality check as above, but against the *unpruned*
@@ -462,6 +485,59 @@ class TestSchedulerProperties:
         for tile in ((0, 4), (4, -1)):
             with pytest.raises(APIError, match="tile edges must be positive"):
                 build_tile_schedule(specs, tile_shape=tile)
+
+    @pytest.mark.parametrize("ndim,n", [(2, 200), (2, 20), (3, 24)])
+    def test_default_keeps_contiguous_rows_whole(self, ndim, n):
+        """Default tiles cut the outer dimensions only: every fused entry's
+        last-dimension range is its loop's full range."""
+        specs = _stencil_chain(ndim, n)
+        schedule = build_tile_schedule(specs)
+        fused = [g for g in schedule.groups if g.fused]
+        assert fused and all(g.n_tiles > 1 for g in fused)
+        for g in fused:
+            for tile in g.tiles:
+                for e in tile:
+                    assert e.ranges[-1] == specs[g.loops[e.loop]].ranges[-1]
+
+    def test_default_empty_last_dim_runs_unfused(self):
+        """An empty contiguous range must not become a zero tile edge."""
+        acc = (AccessRecord("a", True, True, ((0, 0),)),)
+        specs = [LoopSpec(ranges=((0, 16), (3, 3)), accesses=acc, block_id="b")] * 2
+        assert not any(g.fused for g in build_tile_schedule(specs).groups)
+
+    def test_default_1d_chain_still_cuts(self):
+        """A 1-D group has no outer dimension: the default keeps cutting
+        its only one, or the chain would silently run unfused."""
+        specs = _stencil_chain(1, 2 * DEFAULT_TILE)
+        schedule = build_tile_schedule(specs)
+        assert schedule.fused_tiles > 1
+
+    def test_whole_row_edge_leaves_no_sliver(self):
+        """``lazy_tile=(e, N)`` on an N x N chain with a node-ranged
+        (N + 1) loop must not split a one-point column off that loop:
+        it schedules exactly like an edge far past the extent."""
+        n, e = 48, 16
+        specs = _stencil_chain(2, n)
+        whole = build_tile_schedule(specs, tile_shape=(e, n))
+        wide = build_tile_schedule(specs, tile_shape=(e, 10 * n))
+        assert whole.fused_tiles == n // e
+        assert [g.tiles for g in whole.groups] == [g.tiles for g in wide.groups]
+
+
+def test_cloverleaf_default_tiles_are_row_bands():
+    """CloverLeaf 256^2 under ``lazy_scope()``: every fused group runs as
+    one column of DEFAULT_TILE-row bands (cell- and node-ranged loops
+    alike), never cutting the contiguous dimension."""
+    n = 256
+    app = CloverLeafApp(nx=n, ny=n, backend="vec")
+    c = PerfCounters()
+    with counters_scope(c), lazy_mod.lazy_scope():
+        app.run(1)
+    bands = n // DEFAULT_TILE
+    assert c.lazy_groups > 0
+    assert c.lazy_tiles == bands * c.lazy_groups
+    for chain in lazy_mod.chains.entries():
+        assert all(g.n_tiles == bands for g in chain.schedule.groups if g.fused)
 
 
 class TestDependenceGraphPruning:
