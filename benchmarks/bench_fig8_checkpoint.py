@@ -18,7 +18,6 @@ from repro.checkpoint import (
     MemoryStore,
     RecoveryReplayer,
     best_entry_points,
-    chain_from_events,
     decision_table,
     detect_period,
     units_saved_if_entering,
@@ -30,9 +29,9 @@ from repro.common.profiling import loop_chain_record
 @pytest.fixture(scope="module")
 def live_chain():
     app = AirfoilApp(nx=12, ny=8)
-    with loop_chain_record() as events:
+    with loop_chain_record() as chain:
         app.run(2)
-    return chain_from_events(events)
+    return chain
 
 
 def test_fig8_decision_table(benchmark, live_chain):

@@ -23,7 +23,6 @@ from repro.checkpoint import (
     FileStore,
     RecoveryReplayer,
     best_entry_points,
-    chain_from_events,
     detect_period,
 )
 from repro.checkpoint.analysis import format_table
@@ -44,9 +43,8 @@ def fresh_app() -> AirfoilApp:
 # -- 1. the decision table -------------------------------------------------------
 print("recording the loop chain (2 iterations)...")
 app = fresh_app()
-with loop_chain_record() as events:
+with loop_chain_record() as chain:
     app.run(2)
-chain = chain_from_events(events)
 print(format_table(chain))
 period = detect_period([c.name for c in chain])
 cheap = sorted({chain[i].name for i in best_entry_points(chain)})

@@ -6,8 +6,10 @@ execution": datasets that are immediately overwritten need not be saved.
 This package provides
 
 * :mod:`repro.checkpoint.analysis` — the Figure-8 decision table: for every
-  potential entry point in a loop chain, which datasets get saved, dropped
-  or deferred, and how many units of data the checkpoint costs;
+  potential entry point in a loop chain (a sequence of the
+  :class:`~repro.common.profiling.LoopEvent` records loop observers
+  receive), which datasets get saved, dropped or deferred, and how many
+  units of data the checkpoint costs;
 * :mod:`repro.checkpoint.speculative` — periodic-sequence detection: when
   the kernel sequence repeats, wait for the cheapest entry point instead of
   checkpointing immediately;
@@ -20,11 +22,9 @@ This package provides
 """
 
 from repro.checkpoint.analysis import (
-    ChainLoop,
     DatasetFate,
     decision_table,
     units_saved_if_entering,
-    chain_from_events,
 )
 from repro.checkpoint.speculative import detect_period, best_entry_points
 from repro.checkpoint.manager import CheckpointManager, RecoveryReplayer
@@ -37,11 +37,9 @@ from repro.checkpoint.store import (
 )
 
 __all__ = [
-    "ChainLoop",
     "DatasetFate",
     "decision_table",
     "units_saved_if_entering",
-    "chain_from_events",
     "detect_period",
     "best_entry_points",
     "CheckpointManager",

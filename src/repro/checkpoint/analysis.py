@@ -1,7 +1,8 @@
 """The Figure-8 decision analysis.
 
-Given a loop chain (sequence of loops with per-dataset access modes), decide
-for each potential checkpoint entry point:
+Given a loop chain — a sequence of :class:`~repro.common.profiling.LoopEvent`
+records, recorded off a live run with ``loop_chain_record`` or built from
+source by the linter — decide for each potential checkpoint entry point:
 
 * which datasets must be **saved** — their first access at or after the
   entry point observes the old value (READ, RW, or INC, since an increment's
@@ -22,34 +23,11 @@ are reported as pending ("unknown yet" in the figure).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.access import Access
-from repro.common.profiling import LoopEvent
-
-
-@dataclass(frozen=True)
-class ChainAccess:
-    """One dataset access inside one loop of the chain."""
-
-    dataset: str
-    dim: int
-    access: Access
-    is_global: bool = False
-
-
-@dataclass
-class ChainLoop:
-    """One loop of the chain: its name and dataset accesses."""
-
-    name: str
-    accesses: list[ChainAccess] = field(default_factory=list)
-
-    def access_of(self, dataset: str) -> ChainAccess | None:
-        for a in self.accesses:
-            if a.dataset == dataset:
-                return a
-        return None
+from repro.common.profiling import ArgEvent, LoopEvent
 
 
 class DatasetFate(enum.Enum):
@@ -62,41 +40,38 @@ class DatasetFate(enum.Enum):
     PENDING = "pending"  # no access observed before the chain ended
 
 
-def chain_from_events(events: list[LoopEvent]) -> list[ChainLoop]:
-    """Build a chain description from recorded loop events."""
-    chain = []
-    for ev in events:
-        accesses = [
-            ChainAccess(a.name, a.dim, a.access, a.is_global) for a in ev.args
-        ]
-        chain.append(ChainLoop(ev.name, accesses))
-    return chain
+def _access_of(loop: LoopEvent, dataset: str) -> ArgEvent | None:
+    for a in loop.args:
+        if a.name == dataset:
+            return a
+    return None
 
 
-def datasets_in_chain(chain: list[ChainLoop]) -> dict[str, ChainAccess]:
+def datasets_in_chain(chain: Sequence[LoopEvent]) -> dict[str, ArgEvent]:
     """All distinct datasets (first occurrence), name -> representative access."""
-    out: dict[str, ChainAccess] = {}
+    out: dict[str, ArgEvent] = {}
     for loop in chain:
-        for a in loop.accesses:
-            out.setdefault(a.dataset, a)
+        for a in loop.args:
+            out.setdefault(a.name, a)
     return out
 
 
-def _modified_datasets(chain: list[ChainLoop]) -> set[str]:
+def modified_datasets(chain: Sequence[LoopEvent]) -> set[str]:
+    """Non-global datasets some loop of the chain writes."""
     return {
-        a.dataset
+        a.name
         for loop in chain
-        for a in loop.accesses
+        for a in loop.args
         if not a.is_global and a.access.writes
     }
 
 
 def classify_entry(
-    chain: list[ChainLoop], entry: int, *, periodic: bool = True
+    chain: Sequence[LoopEvent], entry: int, *, periodic: bool = True
 ) -> dict[str, DatasetFate]:
     """Classify every dataset for a checkpoint entered right before loop ``entry``."""
     datasets = datasets_in_chain(chain)
-    modified = _modified_datasets(chain)
+    modified = modified_datasets(chain)
     n = len(chain)
     fates: dict[str, DatasetFate] = {}
     for name, rep in datasets.items():
@@ -110,7 +85,7 @@ def classify_entry(
         fate = DatasetFate.PENDING
         for k in range(horizon):
             loop = chain[(entry + k) % n]
-            acc = loop.access_of(name)
+            acc = _access_of(loop, name)
             if acc is None:
                 continue
             if acc.access is Access.WRITE:
@@ -123,7 +98,7 @@ def classify_entry(
 
 
 def units_saved_if_entering(
-    chain: list[ChainLoop], entry: int, *, periodic: bool = True
+    chain: Sequence[LoopEvent], entry: int, *, periodic: bool = True
 ) -> int:
     """The figure's "units of data saved" column for one entry point.
 
@@ -149,11 +124,11 @@ class DecisionRow:
     units: int
 
 
-def decision_table(chain: list[ChainLoop], *, periodic: bool = True) -> list[DecisionRow]:
+def decision_table(chain: Sequence[LoopEvent], *, periodic: bool = True) -> list[DecisionRow]:
     """The full Figure-8 table: per loop, accesses and units-if-entering-here."""
     rows = []
     for i, loop in enumerate(chain):
-        accesses = {a.dataset: a.access.short for a in loop.accesses}
+        accesses = {a.name: a.access.short for a in loop.args}
         rows.append(
             DecisionRow(
                 index=i + 1,
@@ -165,7 +140,7 @@ def decision_table(chain: list[ChainLoop], *, periodic: bool = True) -> list[Dec
     return rows
 
 
-def format_table(chain: list[ChainLoop], *, periodic: bool = True) -> str:
+def format_table(chain: Sequence[LoopEvent], *, periodic: bool = True) -> str:
     """Render the decision table as text (the benchmark prints this)."""
     datasets = list(datasets_in_chain(chain))
     rows = decision_table(chain, periodic=periodic)

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.checkpoint.analysis import ChainAccess, ChainLoop
+from repro.checkpoint.analysis import modified_datasets
 from repro.checkpoint.speculative import detect_period, should_defer
 from repro.checkpoint.store import MemoryStore
 from repro.common.access import Access
@@ -73,7 +73,9 @@ class CheckpointManager:
         self.on_complete = on_complete
         self.state = self.OBSERVING
         self.loop_index = 0
-        self.history: list[ChainLoop] = []
+        #: every observed loop, descriptors only (no ``data_ref``: a kept
+        #: reference would pin each per-step Reduction of a long run)
+        self.history: list[LoopEvent] = []
         #: dataset name -> fate decided while saving
         self.decided: dict[str, str] = {}
         self._installed = False
@@ -123,11 +125,7 @@ class CheckpointManager:
 
     def _on_loop(self, event: LoopEvent) -> None:
         self._flush_globals()
-        chain_loop = ChainLoop(
-            event.name,
-            [ChainAccess(a.name, a.dim, a.access, a.is_global) for a in event.args],
-        )
-        self.history.append(chain_loop)
+        self.history.append(event.without_refs())
 
         due = self.state == self.ARMED or (
             self.state == self.OBSERVING
@@ -172,21 +170,10 @@ class CheckpointManager:
         # datasets never written before the entry point still hold their
         # initial (input-file) values at recovery fast-forward time, so they
         # need no saving regardless of what happens later
+        before = self.history[:-1]
         self._unmodified_at_entry = {
-            a.dataset
-            for loop in self.history[:-1]
-            for a in loop.accesses
-            if not a.is_global
-        } - self._modified_in_history(upto=len(self.history) - 1)
-
-    def _modified_in_history(self, upto: int | None = None) -> set[str]:
-        loops = self.history if upto is None else self.history[:upto]
-        return {
-            a.dataset
-            for loop in loops
-            for a in loop.accesses
-            if not a.is_global and a.access.writes
-        }
+            a.name for loop in before for a in loop.args if not a.is_global
+        } - modified_datasets(before)
 
     def _decide(self, event: LoopEvent) -> None:
         for a in event.args:
@@ -219,12 +206,7 @@ class CheckpointManager:
 
     def _all_decided(self) -> bool:
         # complete once every dataset seen in the history is decided
-        seen = {
-            a.dataset
-            for loop in self.history
-            for a in loop.accesses
-            if not a.is_global
-        }
+        seen = {a.name for loop in self.history for a in loop.args if not a.is_global}
         return seen.issubset(self.decided.keys())
 
     def finalize(self) -> None:

@@ -8,7 +8,10 @@ update are reached" (paper Section VI).
 
 from __future__ import annotations
 
-from repro.checkpoint.analysis import ChainLoop, units_saved_if_entering
+from typing import Sequence
+
+from repro.checkpoint.analysis import units_saved_if_entering
+from repro.common.profiling import LoopEvent
 
 
 def detect_period(names: list[str], *, min_repeats: int = 2) -> int | None:
@@ -26,7 +29,7 @@ def detect_period(names: list[str], *, min_repeats: int = 2) -> int | None:
     return None
 
 
-def best_entry_points(chain: list[ChainLoop], *, periodic: bool = True) -> list[int]:
+def best_entry_points(chain: Sequence[LoopEvent], *, periodic: bool = True) -> list[int]:
     """Entry indices (within one period) minimising the checkpoint size."""
     names = [c.name for c in chain]
     period = detect_period(names) or len(chain)
@@ -38,7 +41,7 @@ def best_entry_points(chain: list[ChainLoop], *, periodic: bool = True) -> list[
 
 
 def should_defer(
-    chain: list[ChainLoop], current: int, *, periodic: bool = True
+    chain: Sequence[LoopEvent], current: int, *, periodic: bool = True
 ) -> bool:
     """True if a cheaper entry point is coming up within one period.
 

@@ -77,10 +77,6 @@ class Config:
     execplan_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_EXECPLAN_CACHE_SIZE", 512)
     )
-    #: below this many scattered entries an OP_INC scatter keeps using
-    #: ``np.add.at``: the sort/segment machinery only pays off on bulk
-    #: scatters, and tiny loops (boundary conditions) stay on the simple path
-    execplan_scatter_min: int = 64
     #: default CUDA-sim thread-block size
     cuda_block_size: int = 128
     #: queue OPS par_loops instead of executing them eagerly; the queue
@@ -92,11 +88,6 @@ class Config:
     #: contiguous rows: ``tileplan.DEFAULT_TILE`` rows (halved on small
     #: extents) by the full last dimension
     lazy_tile: tuple[int, ...] | None = None
-    #: maximum loops fused into one cross-loop tile group
-    lazy_max_group: int = 16
-    #: queued loops per thread before a forced flush (bounds deferral of a
-    #: program that never observes its data)
-    lazy_queue_limit: int = 512
     #: compile certified kernels to native C entry points behind the
     #: execplan tier (repro.native).  Only bitwise-safe loops are admitted,
     #: so this is on by default; ``REPRO_NATIVE=0`` disables it process-wide
@@ -107,10 +98,6 @@ class Config:
     native_cache_dir: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_NATIVE_CACHE_DIR") or None
     )
-    #: collect per-loop performance counters
-    profiling: bool = True
-    #: verbose diagnostics to stdout
-    verbose: bool = False
     #: seconds a blocking simmpi receive waits before declaring deadlock;
     #: resilience tests with induced failures lower this so a lost message
     #: does not stall the suite for a minute

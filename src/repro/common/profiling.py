@@ -4,13 +4,20 @@ Both libraries route loop statistics into the *active* counters (a global
 default, overridable with :func:`counters_scope`) and announce every loop
 execution to registered observers — the hook the checkpointing subsystem
 uses to watch the loop chain.
+
+:class:`LoopEvent` is the one record of "a loop and its per-dataset
+accesses": observers receive it, :func:`loop_chain_record` collects it,
+the Figure-8 checkpoint analysis and the linter's ``--checkpoint`` table
+read sequences of it.  Every observed call gets a fresh event whose
+:class:`ArgEvent` descriptors are immutable, so a recorded chain never
+changes under a later call of the same loop site.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.common.access import Access
@@ -41,32 +48,49 @@ def _local_observers() -> list[Callable[["LoopEvent"], None]]:
     return obs
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ArgEvent:
-    """Access descriptor of one loop argument, library-agnostic."""
+    """Access descriptor of one loop argument, library-agnostic.
+
+    ``dim`` is the dataset's component count (the Figure-8 units);
+    ``data_ref`` is the live Dat/Global/Reduction, for checkpoint saves
+    and replays — ``None`` in records kept beyond the call.
+    """
 
     name: str
     access: Access
     dim: int
     indirect: bool = False
     is_global: bool = False
-    data_ref: Any = None  # the Dat/Global object, for checkpoint saves
+    data_ref: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopEvent:
-    """What observers see: loop name plus its argument descriptors.
+    """One executed loop: its name plus its argument descriptors.
 
-    An observer may set ``skip`` to suppress the loop body — the mechanism
-    behind checkpoint-recovery fast-forwarding, where "the op_par_loops do
-    not carry out any computations, only set the value of op_arg_gbl
+    ``skip`` is the only field anyone writes after construction: an
+    observer sets it to suppress the loop body — the mechanism behind
+    checkpoint-recovery fast-forwarding, where "the op_par_loops do not
+    carry out any computations, only set the value of op_arg_gbl
     arguments" (paper Section VI).
     """
 
     name: str
-    args: list[ArgEvent] = field(default_factory=list)
+    args: tuple[ArgEvent, ...] = ()
     api: str = "op2"
     skip: bool = False
+
+    def without_refs(self) -> "LoopEvent":
+        """The same descriptors with no ``data_ref``: safe to keep in a history."""
+        return LoopEvent(
+            self.name,
+            tuple(
+                ArgEvent(a.name, a.access, a.dim, a.indirect, a.is_global)
+                for a in self.args
+            ),
+            self.api,
+        )
 
 
 def active_counters() -> PerfCounters:
@@ -137,8 +161,8 @@ def observers_active() -> bool:
     """True when any process-wide or this-thread loop observer is registered.
 
     The par_loop hot paths use this to skip building a :class:`LoopEvent`
-    (and the per-arg :class:`ArgEvent` list) entirely when nobody is
-    listening — the common case outside checkpointed/traced runs.
+    entirely when nobody is listening — the common case outside
+    checkpointed/traced runs.
     """
     if _observers:
         return True

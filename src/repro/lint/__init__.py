@@ -5,8 +5,8 @@ Two levels, both AST-only (no application code is executed):
 * **kernel/descriptor** — per-argument kernel-body footprints diffed
   against the declared ``Access``/stencil descriptors (OPL0xx);
 * **loop-chain dataflow** — RAW/WAR/WAW reasoning over the ordered loop
-  sites of each enclosing function: dead writes, carried state, halo
-  redundancy, checkpoint cross-checks (OPL1xx).
+  sites of each enclosing function: dead writes, carried state and halo
+  redundancy (OPL1xx).
 
 See :mod:`repro.lint.diagnostics` for the full code catalogue and
 ``python -m repro.lint --help`` for the CLI.

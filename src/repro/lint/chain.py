@@ -11,26 +11,21 @@ event lists and report:
 * OPL102 — carried state: dats whose first access in the chain reads,
   i.e. exactly the checkpoint save set (note-level, informational);
 * OPL103 — redundant halo-freshening: two consecutive halo-freshening
-  indirect/stencil reads of a dat with no interleaving write (note-level);
-* OPL104 — the linter's first-access classification disagrees with
-  ``repro.checkpoint.analysis.classify_entry`` (self-consistency guard).
+  indirect/stencil reads of a dat with no interleaving write (note-level).
 
-The chain's Figure-8 decision table is also rendered for the
-``--checkpoint`` report.
+For the ``--checkpoint`` report the chain becomes the same
+:class:`~repro.common.profiling.LoopEvent` records a live run's loop
+observers receive, and ``repro.checkpoint.analysis`` renders its Figure-8
+decision table — one first-access rule for static and runtime chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.checkpoint.analysis import (
-    ChainAccess,
-    ChainLoop,
-    DatasetFate,
-    classify_entry,
-    format_table,
-)
+from repro.checkpoint.analysis import format_table
 from repro.common.access import Access
+from repro.common.profiling import ArgEvent, LoopEvent
 from repro.lint.dataflow import AccessRecord, build_dependence_graph
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.kernel_checks import declared_args
@@ -55,7 +50,7 @@ class DatEvent:
 
 
 def _merged_access(ev: DatEvent) -> Access:
-    """The event as an Access mode for the checkpoint cross-check."""
+    """The event as one Access mode, for the checkpoint table."""
     if ev.inc_only:
         return Access.INC
     if ev.reads and ev.writes:
@@ -138,16 +133,6 @@ class Chain:
             for per_site in self.events
         ]
 
-    def to_chain_loops(self) -> list[ChainLoop]:
-        loops = []
-        for site, per_site in zip(self.sites, self.events):
-            accesses = [
-                ChainAccess(dat, 1, _merged_access(ev), ev.is_global)
-                for dat, ev in per_site.items()
-            ]
-            loops.append(ChainLoop(site.display_name, accesses))
-        return loops
-
 
 def build_chains(
     program: Program, idx: ModuleIndex, sites: list[LoopSite]
@@ -169,18 +154,6 @@ def build_chains(
             events=[site_events(program, idx, s) for s in group],
         ))
     return chains
-
-
-def _linter_fate(events: list[DatEvent]) -> DatasetFate:
-    """First-access classification, as the linter derives it."""
-    if any(ev.is_global for ev in events):
-        return DatasetFate.GLOBAL
-    if not any(ev.writes for ev in events):
-        return DatasetFate.NEVER_SAVED
-    first = events[0]
-    if first.pure_write:
-        return DatasetFate.DROPPED
-    return DatasetFate.SAVED
 
 
 def check_chain(idx: ModuleIndex, chain: Chain) -> list[Diagnostic]:
@@ -259,27 +232,23 @@ def check_chain(idx: ModuleIndex, chain: Chain) -> list[Diagnostic]:
                 prev_halo = None  # the write re-dirties halos
             elif ev.halo_read:
                 prev_halo = ev
-
-    # OPL104: cross-check against the Figure-8 analysis
-    loops = chain.to_chain_loops()
-    fig8 = classify_entry(loops, 0, periodic=True)
-    for dat, events in chain.dat_events().items():
-        mine = _linter_fate(events)
-        theirs = fig8.get(dat)
-        if theirs is DatasetFate.PENDING:
-            continue
-        if theirs is not None and theirs is not mine:
-            diags.append(Diagnostic(
-                "OPL104",
-                f"linter classifies {dat!r} as {mine.value} for chain "
-                f"{chain.name!r} but repro.checkpoint.analysis says "
-                f"{theirs.value}",
-                fname, chain.sites[0].lineno,
-                loop=chain.name, arg=dat,
-            ))
     return diags
 
 
 def chain_table(chain: Chain) -> str:
-    """The chain's Figure-8 decision table (checkpoint report)."""
-    return format_table(chain.to_chain_loops(), periodic=True)
+    """The chain's Figure-8 decision table (checkpoint report).
+
+    Each dat counts one unit: source carries no dataset dims.
+    """
+    loops = [
+        LoopEvent(
+            site.display_name,
+            tuple(
+                ArgEvent(dat, _merged_access(ev), 1, is_global=ev.is_global)
+                for dat, ev in per_site.items()
+            ),
+            site.api,
+        )
+        for site, per_site in zip(chain.sites, chain.events)
+    ]
+    return format_table(loops, periodic=True)

@@ -126,14 +126,6 @@ RULES: dict[str, Rule] = {
             "write move the same bytes twice",
         ),
         Rule(
-            "OPL104", Severity.WARNING,
-            "static checkpoint classification disagrees with "
-            "repro.checkpoint.analysis",
-            "report this: the linter's first-access rule and the Fig 8 "
-            "analysis must agree on save/drop sets",
-            "checkpoint save/drop decision (paper Fig 8)",
-        ),
-        Rule(
             "OPL201", Severity.ERROR,
             "abstract interpretation proves an access outside the declared "
             "stencil / halo depth",

@@ -8,7 +8,7 @@ and amortised over every later one.  The interpreted path in
 :mod:`repro.op2.parloop` re-derives all of it per call; this module caches
 it in a :class:`CompiledLoop`:
 
-* the validated descriptor list and the prebuilt loop event,
+* the validated descriptor list and the prebuilt loop-event descriptors,
 * the native tier's compiled kernel when admission succeeds,
 * the loop's exact traffic/flop accounting, folded into the counters as
   precomputed constants,
@@ -45,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.access import Access
-from repro.common.config import get_config
 from repro.common.counters import LoopRecord, PerfCounters, Timer
 from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.common.profiling import (
@@ -72,6 +71,11 @@ __all__ = [
 #: untouched interpreted semantic baseline, ``cuda`` keeps its staged
 #: two-level commit schedule
 FAST_BACKENDS = frozenset({"vec", "openmp"})
+
+#: below this many scattered entries an OP_INC scatter keeps using
+#: ``np.add.at``: the sort/segment machinery only pays off on bulk
+#: scatters, and tiny loops (boundary conditions) stay on the simple path
+SCATTER_MIN = 64
 
 # -- gather/scatter opcodes ----------------------------------------------------
 
@@ -202,7 +206,6 @@ def _segment_scatter(dat, cols: np.ndarray, dim: int, dtype) -> tuple:
 
 def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
     """Specialise gather/scatter ops for ``args`` over one subset."""
-    scatter_min = get_config().execplan_scatter_min
     is_slice = isinstance(idx, slice)
     gathers: list = []
     scatters: list = []
@@ -241,7 +244,7 @@ def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
         buf = np.empty((m, dat.dim), dtype=dat.dtype)
         if arg.access is Access.INC:
             gathers.append((_G_INC_BUF, buf))
-            if m >= scatter_min:
+            if m >= SCATTER_MIN:
                 scatters.append(_segment_scatter(dat, cols, dat.dim, dat.dtype))
             else:
                 scatters.append((_S_INC_ADD_AT, dat, cols))
@@ -267,8 +270,9 @@ class CompiledLoop:
         # (a) full validation, exactly as the interpreted path performs it
         _parloop.validate_loop_args(kernel, iterset, args)
 
-        # (b) the prebuilt event and the written-dat list (halo staleness)
-        self.event: LoopEvent = _parloop._event_for(kernel, args)
+        # (b) the prebuilt event descriptors and the written-dat list (halo
+        # staleness)
+        self.arg_events = _parloop._event_for(kernel, args).args
         # span attributes are part of the plan too: formatting descriptors
         # per call would dominate a traced fast path
         self.trace_attrs = {
@@ -357,8 +361,8 @@ class CompiledLoop:
     def execute(self) -> None:
         """Replay the plan: notify, run every subset, account, mark halos."""
         if observers_active():
-            event = self.event
-            event.skip = False
+            # a fresh event per call: an observer may keep the one it got
+            event = LoopEvent(self.kernel.name, self.arg_events, "op2")
             notify_loop(event)
             if event.skip:
                 # recovery fast-forward: same contract as the interpreted path

@@ -33,8 +33,9 @@ def write_mesh(path: str | Path, sets: dict[str, Set], maps: dict[str, Map], dat
     for name, d in dats.items():
         payload[f"dat/{name}/data"] = d.data
         payload[f"dat/{name}/meta"] = np.asarray([_set_index(sets, d.set), d.dim], dtype=np.int64)
-    payload["set_names"] = np.asarray(sorted(sets), dtype=object)
-    np.savez(Path(path), **payload, allow_pickle=True)
+    # fixed-width strings, not objects: the file must load without pickle
+    payload["set_names"] = np.asarray(sorted(sets), dtype=np.str_)
+    np.savez(Path(path), **payload)
 
 
 def _set_index(sets: dict[str, Set], s: Set) -> int:
@@ -45,8 +46,19 @@ def _set_index(sets: dict[str, Set], s: Set) -> int:
 
 
 def read_mesh(path: str | Path) -> tuple[dict[str, Set], dict[str, Map], dict[str, Dat]]:
-    """Load a mesh written by :func:`write_mesh`."""
-    with np.load(Path(path), allow_pickle=True) as npz:
+    """Load a mesh written by :func:`write_mesh`.
+
+    Pickling stays off: a mesh is plain arrays, and unpickling an object
+    array could run arbitrary code, so such a file raises ``APIError``.
+    """
+    try:
+        return _read_mesh(Path(path))
+    except ValueError as exc:  # np.load refuses object arrays without pickle
+        raise APIError(f"{path}: not a plain-array mesh file ({exc})") from exc
+
+
+def _read_mesh(path: Path) -> tuple[dict[str, Set], dict[str, Map], dict[str, Dat]]:
+    with np.load(path, allow_pickle=False) as npz:
         set_names = [str(n) for n in npz["set_names"]]
         sets: dict[str, Set] = {}
         for name in set_names:

@@ -70,17 +70,16 @@ def get_default_backend() -> str:
 
 
 def _event_for(kernel: Kernel, args: list[Arg]) -> LoopEvent:
-    evs = []
-    for a in args:
-        if a.is_global:
-            evs.append(
-                ArgEvent(a.glob.name, a.access, a.glob.dim, is_global=True, data_ref=a.glob)
-            )
-        else:
-            evs.append(
-                ArgEvent(a.dat.name, a.access, a.dat.dim, indirect=a.is_indirect, data_ref=a.dat)
-            )
-    return LoopEvent(kernel.name, evs, api="op2")
+    return LoopEvent(
+        kernel.name,
+        tuple(
+            ArgEvent(a.glob.name, a.access, a.glob.dim, is_global=True, data_ref=a.glob)
+            if a.is_global
+            else ArgEvent(a.dat.name, a.access, a.dat.dim, indirect=a.is_indirect, data_ref=a.dat)
+            for a in args
+        ),
+        api="op2",
+    )
 
 
 def describe_args(args: list[Arg]) -> str:

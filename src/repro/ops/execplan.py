@@ -8,7 +8,7 @@ replayed afterwards.
 
 A :class:`CompiledOpsLoop` holds:
 
-* the validated argument list and the prebuilt loop event,
+* the validated argument list and the prebuilt loop-event descriptors,
 * the native tier's compiled kernel when admission succeeds, otherwise one
   :class:`FastAccessor` per dat argument: the shifted storage views for
   every declared stencil offset, computed once — the interpreted
@@ -25,8 +25,9 @@ sub-range; ``execute`` checks the containment rather than trusting it.
 
 Reduction handles are *slots*, not captures: apps routinely build a fresh
 :class:`~repro.ops.reduction.Reduction` per invocation, so plans key on the
-slot's access mode and rebind the caller's handle (accessor position and
-event ``data_ref``) on every call.
+slot's access mode and bind the caller's handle on every call (the
+accessor position, and — when observed — a fresh descriptor in that
+call's own loop event).
 
 Plans live in :data:`plans`, a :class:`~repro.common.plancache.PlanCache`
 keyed by stable monotonic tokens.  The ops guard: because the cached views
@@ -130,8 +131,8 @@ class CompiledOpsLoop:
         self.backend = backend
         self.args = list(args)  # strong refs keep dats alive while cached
 
-        # (b) the prebuilt event, reduction slots, written-dat list
-        self.event: LoopEvent = _parloop._event_for(loop_name, args)
+        # (b) the prebuilt event descriptors, reduction slots, written-dat list
+        self.arg_events = _parloop._event_for(loop_name, args).args
         # span attributes are part of the plan too: formatting descriptors
         # per call would dominate a traced fast path
         self.trace_attrs = {
@@ -233,13 +234,17 @@ class CompiledOpsLoop:
         whole = ranges is None
         if whole:
             if observers_active():
-                event = self.event
-                for i in self.red_slots:
-                    red = args[i]
-                    ev = event.args[i]
-                    ev.name = red.name
-                    ev.data_ref = red
-                event.skip = False
+                # a fresh event per call: each call binds its own reduction
+                # handles, and an observer may keep the event it was given
+                arg_events = self.arg_events
+                if self.red_slots:
+                    from repro.ops import parloop as _parloop
+
+                    arg_events = list(arg_events)
+                    for i in self.red_slots:
+                        arg_events[i] = _parloop._reduction_event(args[i])
+                    arg_events = tuple(arg_events)
+                event = LoopEvent(self.name, arg_events, "ops")
                 notify_loop(event)
                 if event.skip:
                     # recovery fast-forward: same contract as the interpreted path

@@ -89,6 +89,10 @@ __all__ = [
 #: still queued, silently disabling every flush gate.
 ACTIVE = 0
 
+#: queued loops per thread before a forced flush (bounds deferral of a
+#: program that never observes its data)
+QUEUE_LIMIT = 512
+
 _active_lock = threading.Lock()
 
 
@@ -254,7 +258,7 @@ def enqueue(
     st = _state
     st.queue.append(item)
     _active_add(1)
-    if len(st.queue) >= get_config().lazy_queue_limit:
+    if len(st.queue) >= QUEUE_LIMIT:
         flush("queue_limit")
     return True
 
@@ -373,16 +377,15 @@ def _group_bytes_saved(queue: list, loops: tuple) -> int:
     return saved
 
 
-def _build_chain(queue: list, tile, max_group: int) -> _Chain:
-    s = build_tile_schedule([q.spec for q in queue], tile_shape=tile, max_group=max_group)
+def _build_chain(queue: list, tile) -> _Chain:
+    s = build_tile_schedule([q.spec for q in queue], tile_shape=tile)
     return _Chain(s, tuple(_group_bytes_saved(queue, g.loops) if g.fused else 0 for g in s.groups))
 
 
 def _schedule_for(queue: list) -> _Chain:
-    cfg = get_config()
-    tile_key = tuple(cfg.lazy_tile) if cfg.lazy_tile else None
-    key = (tuple(q.sig for q in queue), tile_key, cfg.lazy_max_group)
-    return chains.get(key, _build_chain, queue, cfg.lazy_tile, cfg.lazy_max_group)
+    tile = get_config().lazy_tile
+    key = (tuple(q.sig for q in queue), tuple(tile) if tile else None)
+    return chains.get(key, _build_chain, queue, tile)
 
 
 # -- flush execution ----------------------------------------------------------

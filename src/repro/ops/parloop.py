@@ -135,14 +135,20 @@ def _account(
             rec.bytes_written += n * item
 
 
+def _reduction_event(red: Reduction) -> ArgEvent:
+    return ArgEvent(red.name, red.access, 1, is_global=True, data_ref=red)
+
+
 def _event_for(name: str, args: Sequence[LoopArg]) -> LoopEvent:
-    evs = []
-    for a in args:
-        if isinstance(a, Reduction):
-            evs.append(ArgEvent(a.name, a.access, 1, is_global=True, data_ref=a))
-        else:
-            evs.append(ArgEvent(a.dat.name, a.access, 1, data_ref=a.dat))
-    return LoopEvent(name, evs, api="ops")
+    return LoopEvent(
+        name,
+        tuple(
+            _reduction_event(a) if isinstance(a, Reduction)
+            else ArgEvent(a.dat.name, a.access, 1, data_ref=a.dat)
+            for a in args
+        ),
+        api="ops",
+    )
 
 
 def describe_args(args: Sequence[LoopArg]) -> str:

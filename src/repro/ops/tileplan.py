@@ -48,6 +48,7 @@ __all__ = [
     "ChainSchedule",
     "build_tile_schedule",
     "DEFAULT_TILE",
+    "MAX_GROUP",
 ]
 
 #: default rows per tile when the caller does not pin a shape (the outer
@@ -55,6 +56,9 @@ __all__ = [
 #: stays whole).  A constant, not a cache probe: row counts from 32 to 128
 #: time alike (DESIGN.md, "Scheduling")
 DEFAULT_TILE = 64
+
+#: maximum loops fused into one cross-loop tile group
+MAX_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,7 @@ def _loop_tile_ranges(
 def build_tile_schedule(
     specs: Sequence[LoopSpec],
     tile_shape: Sequence[int] | None = None,
-    max_group: int = 16,
+    max_group: int = MAX_GROUP,
 ) -> ChainSchedule:
     """Plan the whole chain: group, skew, and cut into tiles.
 

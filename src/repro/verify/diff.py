@@ -126,7 +126,9 @@ class LoopTrace:
         self._pending: LoopEvent | None = None
 
     # the observer fires *before* each loop body: the state visible now is
-    # the post-state of the previously announced loop
+    # the post-state of the previously announced loop, read through that
+    # call's own event (events are per call, so a reduction slot names the
+    # handle that loop wrote)
     def _observe(self, event: LoopEvent) -> None:
         self._flush()
         self._pending = event

@@ -1,37 +1,40 @@
 """Checkpointing: the Figure-8 analysis, speculation, manager and recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro import op2
+from repro import op2, ops, verify
 from repro.checkpoint import (
     CheckpointManager,
     FileStore,
     MemoryStore,
     RecoveryReplayer,
     best_entry_points,
-    chain_from_events,
     decision_table,
     detect_period,
     units_saved_if_entering,
 )
 from repro.checkpoint.analysis import (
-    ChainAccess,
-    ChainLoop,
     DatasetFate,
     classify_entry,
     format_table,
 )
 from repro.common.access import Access
-from repro.common.profiling import loop_chain_record
+from repro.common.config import swap
+from repro.common.profiling import ArgEvent, LoopEvent, loop_chain_record
 
 
-def fig8_chain(outer_iterations: int = 2) -> list[ChainLoop]:
+def fig8_chain(outer_iterations: int = 2) -> list[LoopEvent]:
     """The Airfoil loop chain exactly as paper Figure 8 tabulates it."""
     A = Access
 
     def loop(name, *acc):
-        return ChainLoop(name, [ChainAccess(d, dim, a, g) for (d, dim, a, g) in acc])
+        return LoopEvent(
+            name, tuple(ArgEvent(d, a, dim, is_global=g) for (d, dim, a, g) in acc)
+        )
 
     inner = [
         loop("adt_calc", ("x", 2, A.READ, False), ("q", 4, A.READ, False),
@@ -86,8 +89,8 @@ class TestFigure8Analysis:
     def test_non_periodic_pending(self):
         A = Access
         chain = [
-            ChainLoop("a", [ChainAccess("d", 2, A.WRITE, False)]),
-            ChainLoop("b", [ChainAccess("e", 3, A.READ, False)]),
+            LoopEvent("a", (ArgEvent("d", A.WRITE, 2),)),
+            LoopEvent("b", (ArgEvent("e", A.READ, 3),)),
         ]
         # 'd' is modified but never accessed at/after entry 1 -> pending
         fates = classify_entry(chain, 1, periodic=False)
@@ -371,14 +374,13 @@ class TestFileStore:
         assert leftovers == []  # no tmp files survive
 
 
-class TestChainFromEvents:
+class TestRecordedChain:
     def test_recorded_airfoil_chain_shape(self):
         from repro.apps.airfoil import AirfoilApp
 
         app = AirfoilApp(nx=6, ny=4)
-        with loop_chain_record() as events:
+        with loop_chain_record() as chain:
             app.iteration()
-        chain = chain_from_events(events)
         names = [c.name for c in chain]
         assert names == [
             "save_soln",
@@ -453,15 +455,10 @@ class TestAnalysisProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_units_bounded_and_partition_complete(self, chain_spec, entry):
-        from repro.checkpoint.analysis import (
-            ChainAccess,
-            ChainLoop,
-            classify_entry,
-            datasets_in_chain,
-        )
+        from repro.checkpoint.analysis import classify_entry, datasets_in_chain
 
         chain = [
-            ChainLoop(f"loop{i}", [ChainAccess(n, 2, a, False) for n, a in accs])
+            LoopEvent(f"loop{i}", tuple(ArgEvent(n, a, 2) for n, a in accs))
             for i, accs in enumerate(chain_spec)
         ]
         entry = entry % len(chain)
@@ -481,3 +478,73 @@ class TestAnalysisProperties:
         units = [units_saved_if_entering(chain, i) for i in range(len(chain))]
         for i in range(len(chain)):
             assert units[i] == units[i % period]
+
+
+def k_sum(u, s):
+    s.inc(u[0, 0])
+
+
+def k_scale(u):
+    u[0, 0] = u[0, 0] * 1.0
+
+
+def _ones_block():
+    blk = ops.Block(2, "rec")
+    u = ops.Dat(blk, (8, 8), name="u")
+    u.interior[...] = 1.0
+    return blk, u
+
+
+def _sum_loop(blk, u, red):
+    ops.par_loop(k_sum, blk, [(0, 8), (0, 8)], u(ops.READ), red)
+
+
+class TestLoopRecord:
+    """Every observed call gets its own immutable event (compiled or not)."""
+
+    @pytest.mark.parametrize("use_execplan", [True, False])
+    def test_recording_keeps_each_calls_reduction(self, use_execplan):
+        blk, u = _ones_block()
+        with swap(use_execplan=use_execplan), loop_chain_record() as events:
+            for name in ("first", "second"):
+                _sum_loop(blk, u, ops.Reduction("inc", name=name))
+        assert [[a.name for a in ev.args] for ev in events] == [
+            ["u", "first"], ["u", "second"],
+        ]
+        assert events[0] is not events[1]
+
+    @pytest.mark.parametrize("use_execplan", [True, False])
+    def test_trace_reads_the_loops_own_reduction(self, use_execplan):
+        blk, u = _ones_block()
+        with swap(use_execplan=use_execplan), verify.trace_scope() as trace:
+            for _ in range(2):
+                _sum_loop(blk, u, ops.Reduction("inc", name="s"))
+        assert [r.written["s"].tolist() for r in trace.records] == [[64.0], [64.0]]
+
+    @pytest.mark.parametrize("use_execplan", [True, False])
+    def test_op2_site_records_distinct_events(self, use_execplan):
+        q, q_old, _ = fresh_state()
+        with swap(use_execplan=use_execplan), loop_chain_record() as events:
+            for _ in range(2):
+                op2.par_loop(K_SAVE, q.set, q(op2.READ), q_old(op2.WRITE))
+        assert len(events) == 2 and events[0] is not events[1]
+        assert events[0].args == events[1].args
+
+    def test_history_pins_no_reduction(self):
+        """A long checkpointed run must not pin every per-step Reduction.
+
+        The plan keeps the handles of its first and latest call bound in its
+        argument slots; the history keeps none."""
+        blk, u = _ones_block()
+        with CheckpointManager() as mgr:
+            refs = []
+            for _ in range(3):
+                red = ops.Reduction("inc", name="s")
+                refs.append(weakref.ref(red))
+                _sum_loop(blk, u, red)
+                ops.par_loop(k_scale, blk, [(0, 8), (0, 8)], u(ops.RW))
+            del red
+            gc.collect()
+            assert refs[1]() is None
+        assert [ev.name for ev in mgr.history] == ["k_sum", "k_scale"] * 3
+        assert all(a.data_ref is None for ev in mgr.history for a in ev.args)

@@ -16,11 +16,11 @@ class TestSwap:
         assert get_config().plan_block_size == base
 
     def test_nested(self):
-        with swap(verbose=True):
+        with swap(check_stencils=True):
             with swap(plan_block_size=3):
-                assert get_config().verbose
+                assert get_config().check_stencils
                 assert get_config().plan_block_size == 3
-            assert get_config().verbose
+            assert get_config().check_stencils
 
     def test_restores_on_exception(self):
         base = get_config().cuda_block_size

@@ -153,8 +153,9 @@ def _run_inc_loop(cols: list[int], vals: np.ndarray, base: np.ndarray, use_plan:
         "copy_inc",
         vec_func=lambda v, out: out.__setitem__(Ellipsis, v),
     )
-    # scatter_min=1 forces the segment plan even on tiny loops
-    with swap(use_execplan=use_plan, execplan_scatter_min=1):
+    # SCATTER_MIN=1 forces the segment plan even on tiny loops
+    with pytest.MonkeyPatch.context() as mp, swap(use_execplan=use_plan):
+        mp.setattr(op2_exec, "SCATTER_MIN", 1)
         op2.par_loop(k, edges, x(op2.READ), acc(op2.INC, e2n, 0), backend="vec")
     return acc.data[:, 0].copy()
 

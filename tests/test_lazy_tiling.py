@@ -745,9 +745,10 @@ class TestFlushSemantics:
             remove_loop_observer(obs)
         assert seen == ["smooth", "accum"]
 
-    def test_queue_limit_forces_flush(self):
+    def test_queue_limit_forces_flush(self, monkeypatch):
         blk, u, v = _chain_setup()
-        with swap(lazy=True, lazy_queue_limit=6):
+        monkeypatch.setattr(lazy_mod, "QUEUE_LIMIT", 6)
+        with swap(lazy=True):
             for _ in range(5):
                 _queue_chain(blk, u, v, steps=1)
             # 10 loops queued against a limit of 6: at least one forced flush

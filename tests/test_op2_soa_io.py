@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import op2
+from repro.common.errors import APIError
 from repro.op2.io import dump_dat, load_dat_values, read_mesh, write_mesh
 from repro.op2.soa import aos_index, soa_index, soa_stride, to_aos, to_soa
 
@@ -66,6 +67,17 @@ class TestMeshIO:
         sets, maps, _ = read_mesh(path)
         assert maps["e2n"].from_set is sets["edges"]
         assert maps["e2n"].to_set is sets["nodes"]
+
+    def test_object_array_refused(self, tmp_path):
+        """Loading a mesh must never unpickle: object arrays are refused."""
+        path = tmp_path / "evil.npz"
+        np.savez(
+            path,
+            set_names=np.asarray(["nodes"], dtype=object),
+            **{"set/nodes": np.asarray([4], dtype=np.int64)},
+        )
+        with pytest.raises(APIError, match="not a plain-array mesh file"):
+            read_mesh(path)
 
     def test_dump_dat_owned_only(self, tmp_path):
         s = op2.Set(3, halo_nonexec=2)
