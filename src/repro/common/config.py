@@ -62,8 +62,6 @@ class Config:
     #: OP_WRITE args never read their old value and OP_INC args are pure
     #: increments (two extra executions of every loop on cloned data)
     verify_shadow: bool = True
-    #: default block size for OP2 colouring plans (elements per mini-block)
-    plan_block_size: int = 256
     #: use compiled loop executors (repro.op2.execplan / repro.ops.execplan):
     #: the first invocation of a loop signature builds a CompiledLoop (plan +
     #: buffer arena + scatter schedule), later invocations replay it.  Off
@@ -77,8 +75,6 @@ class Config:
     execplan_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_EXECPLAN_CACHE_SIZE", 512)
     )
-    #: default CUDA-sim thread-block size
-    cuda_block_size: int = 128
     #: queue OPS par_loops instead of executing them eagerly; the queue
     #: drains in skewed cross-loop tiles at the first data observation
     #: (``repro.ops.lazy``).  ``REPRO_LAZY=1`` enables it process-wide

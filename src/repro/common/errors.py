@@ -9,6 +9,16 @@ class APIError(ReproError):
     """Invalid use of the OP2/OPS public API (bad arguments, wrong sets...)."""
 
 
+#: the executors of both ``par_loop``s: ``seq`` (the interpreted reference)
+#: and ``vec`` (vectorised; compiled whenever a loop plan admits the site)
+BACKENDS = frozenset({"seq", "vec"})
+
+
+def unknown_backend(name: object) -> APIError:
+    """The error both ``par_loop``s raise for a name outside :data:`BACKENDS`."""
+    return APIError(f"unknown backend {name!r}; available: seq, vec")
+
+
 class AccessDeclarationError(APIError):
     """An access mode is invalid for the argument it was declared on.
 

@@ -357,13 +357,13 @@ class NativeOp2Loop:
             g.accumulate(stage)
 
 
-def try_compile_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2Loop | None:
+def try_compile_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop | None:
     """Admission + build for one OP2 loop site; None means use vec."""
     if not get_config().native:
         _fallback("op2", loop_name, "disabled")
         return None
     try:
-        return _build_op2(kernel, args, backend, n, loop_name)
+        return _build_op2(kernel, args, n, loop_name)
     except (_cgen.Untranslatable, _cache.NativeUnavailable) as exc:
         _fallback("op2", loop_name, exc.reason)
     except Exception as exc:  # the native tier must never break a plan
@@ -371,10 +371,7 @@ def try_compile_op2(kernel, args, backend: str, n: int, loop_name: str) -> Nativ
     return None
 
 
-def _build_op2(kernel, args, backend: str, n: int, loop_name: str) -> NativeOp2Loop:
-    if backend != "vec":
-        # openmp runs coloured subsets; only the single vec sweep is mirrored
-        raise _cgen.Untranslatable(f"backend {backend!r} (native mirrors vec)")
+def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     if n <= 0:
         raise _cgen.Untranslatable("empty iteration set")
     fn = getattr(kernel, "func", kernel)

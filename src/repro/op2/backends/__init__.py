@@ -1,32 +1,20 @@
-"""OP2 execution backends.
+"""OP2 execution backends: the two executors every ``par_loop`` chooses from.
 
-Each backend is a callable ``(kernel, iterset, args, n) -> n_colours`` that
-executes the loop body over the first ``n`` elements.  They mirror the
-paper's generated-code targets:
-
-* ``seq``     — single-threaded reference; per-element calls of the user
+* ``seq`` — single-threaded reference; per-element calls of the user
   function, recommended for debugging (paper Section II-C),
-* ``vec``     — vectorised execution over gathered arrays (the
-  auto-vectorised CPU target); the production backend here,
-* ``openmp``  — block-coloured execution: same-coloured mini-blocks are
-  race-free and could run on distinct threads,
-* ``cuda``    — two-level coloured execution with staged increments,
-  emulating the CUDA target's semantics.
+* ``vec`` — vectorised execution over gathered arrays (the auto-vectorised
+  CPU target): one :func:`execute_subset` sweep over the whole range when
+  interpreted; :mod:`repro.op2.execplan` compiles that sweep once per loop
+  site (native C where admitted) and replays it.
 
-Distributed memory (MPI) composes with all of these through
+The paper's OpenMP and CUDA targets are generated code here, not executors:
+:mod:`repro.translator` emits their C text, :func:`repro.op2.plan.build_plan`
+builds their two-level colouring and :mod:`repro.verify.races` checks it.
+Distributed memory (MPI) composes with both through
 :class:`repro.op2.halo.PartitionedMesh`.
 """
 
 from repro.op2.backends.seq import execute_seq
-from repro.op2.backends.vec import execute_vec
-from repro.op2.backends.openmp import execute_openmp
-from repro.op2.backends.cuda import execute_cuda
+from repro.op2.backends.base import execute_subset
 
-BACKENDS = {
-    "seq": execute_seq,
-    "vec": execute_vec,
-    "openmp": execute_openmp,
-    "cuda": execute_cuda,
-}
-
-__all__ = ["BACKENDS", "execute_seq", "execute_vec", "execute_openmp", "execute_cuda"]
+__all__ = ["execute_seq", "execute_subset"]

@@ -1,7 +1,7 @@
-"""Gather / compute / scatter machinery shared by the array backends.
+"""Gather / compute / scatter machinery of the interpreted ``vec`` backend.
 
-The vectorised backends execute a loop in three phases, exactly like the
-generated code in the paper: gather the indirect operands into contiguous
+A vectorised loop executes in three phases, exactly like the generated
+code in the paper: gather the indirect operands into contiguous
 buffers, apply the vectorised kernel to whole arrays, and scatter results
 back (with ``np.add.at`` providing the coloured-increment semantics for
 OP_INC arguments — duplicates accumulate correctly).

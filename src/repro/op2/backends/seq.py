@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.common.access import Access
 from repro.op2.args import Arg
 from repro.op2.kernel import Kernel
-from repro.op2.set import Set
 
 
-def execute_seq(kernel: Kernel, iterset: Set, args: Sequence[Arg], n: int) -> int:
-    """Run the loop elementwise; returns the colour count (always 1)."""
+def execute_seq(kernel: Kernel, args: Sequence[Arg], n: int) -> None:
+    """Run the loop elementwise over the first ``n`` elements."""
     for e in range(n):
         views = []
         for arg in args:
@@ -28,4 +26,3 @@ def execute_seq(kernel: Kernel, iterset: Set, args: Sequence[Arg], n: int) -> in
             else:
                 views.append(arg.dat.data[arg.map.values[e, arg.idx]])
         kernel.func(*views)
-    return 1

@@ -73,7 +73,7 @@ def op_arg_gbl(glob: Global, dim: int, typ: str, acc: Access) -> Arg:
     return Arg.from_global(glob, acc)
 
 
-def op_par_loop(kernel, name: str, iterset: Set, *args: Arg, backend: str | None = None) -> None:
+def op_par_loop(kernel, name: str, iterset: Set, *args: Arg, backend: str = "vec") -> None:
     """C-style loop call: user function first, loop name second."""
     k = kernel if isinstance(kernel, Kernel) else Kernel(kernel, name)
     par_loop(k, iterset, *args, backend=backend)

@@ -16,8 +16,7 @@ it in a :class:`CompiledLoop`:
 and — cut on the first execute the native tier does not take, so a plan
 builds only the tier it runs:
 
-* per-subset gather index arrays (the whole range for ``vec``, one subset
-  per block colour for ``openmp``),
+* the gather index arrays of the one whole-range sweep,
 * a buffer arena — gather/INC/global buffers allocated once and reused
   while the underlying shapes still match,
 * an **INC scatter plan**: a cached stable-sort permutation plus segment
@@ -35,7 +34,7 @@ Compiled loops live in :data:`plans`, a
 tokens (kernel, iteration set, per-arg dat/map/idx/access, ``n``), never by
 ``id()``.  The op2 guard: an entry is invalidated when a dat's storage
 shape/dtype or a map's values array changes.  :func:`clear_plan_cache`
-drops every entry together with the colouring and unique-count memos.
+drops every entry together with the unique-count memo.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.common.profiling import (
     observers_active,
 )
 from repro.telemetry import tracer as _trace
-from repro.op2 import plan as colour_plan
 from repro.op2.args import Arg
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
@@ -67,11 +65,6 @@ __all__ = [
     "set_plan_cache_capacity",
 ]
 
-#: backends the compiled path covers; ``seq`` deliberately stays the
-#: untouched interpreted semantic baseline, ``cuda`` keeps its staged
-#: two-level commit schedule
-FAST_BACKENDS = frozenset({"vec", "openmp"})
-
 #: below this many scattered entries an OP_INC scatter keeps using
 #: ``np.add.at``: the sort/segment machinery only pays off on bulk
 #: scatters, and tiny loops (boundary conditions) stay on the simple path
@@ -83,21 +76,20 @@ _G_GLOBAL_READ = 0
 _G_GLOBAL_INC = 1
 _G_GLOBAL_MINMAX = 2
 _G_VIEW_SLICE = 3
-_G_TAKE = 4  # direct or indirect gather into an arena buffer
-_G_WRITE_BUF = 5  # uninitialised output buffer (direct WRITE over a subset)
-_G_INC_BUF = 6  # zeroed increment buffer
+_G_TAKE = 4  # indirect gather into an arena buffer
+_G_INC_BUF = 5  # zeroed increment buffer
 
 _S_NONE = 0
 _S_GLOBAL_INC = 1
 _S_GLOBAL_MIN = 2
 _S_GLOBAL_MAX = 3
-_S_ASSIGN = 4  # dat.data[idx] = buf (direct subset or indirect WRITE/RW)
+_S_ASSIGN = 4  # dat.data[cols] = buf (indirect WRITE/RW)
 _S_INC_SEGMENTS = 5
 _S_INC_ADD_AT = 6
 
 
 class _SubsetExec:
-    """One executed subset (the full range, or one block colour)."""
+    """The whole-range gather / vector kernel / scatter sweep of one site."""
 
     __slots__ = ("n", "gathers", "scatters")
 
@@ -125,12 +117,10 @@ class _SubsetExec:
             elif mode == _G_GLOBAL_INC:
                 op[1].fill(0.0)
                 buffers.append(op[1])
-            elif mode == _G_GLOBAL_MINMAX:
+            else:  # _G_GLOBAL_MINMAX
                 _, glob, buf = op
                 np.copyto(buf, glob.data)
                 buffers.append(buf)
-            else:  # _G_WRITE_BUF
-                buffers.append(op[1])
 
         vec_func(*buffers)
 
@@ -204,9 +194,9 @@ def _segment_scatter(dat, cols: np.ndarray, dim: int, dtype) -> tuple:
     return (_S_INC_SEGMENTS, dat, perm, targets_r, rounds, sorted_buf, acc_buf, contrib_buf)
 
 
-def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
-    """Specialise gather/scatter ops for ``args`` over one subset."""
-    is_slice = isinstance(idx, slice)
+def _compile_subset(args: Sequence[Arg], m: int) -> _SubsetExec:
+    """Specialise gather/scatter ops for ``args`` over the first ``m`` elements."""
+    idx = slice(0, m)
     gathers: list = []
     scatters: list = []
     for arg in args:
@@ -227,17 +217,9 @@ def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
 
         dat = arg.dat
         if arg.is_direct:
-            if is_slice:
-                # writes land through the view: no scatter needed
-                gathers.append((_G_VIEW_SLICE, dat, idx))
-                scatters.append((_S_NONE,))
-            else:
-                buf = np.empty((m, dat.dim), dtype=dat.dtype)
-                if arg.access is Access.WRITE:
-                    gathers.append((_G_WRITE_BUF, buf))
-                else:
-                    gathers.append((_G_TAKE, dat, idx, buf))
-                scatters.append((_S_ASSIGN, dat, idx) if arg.access.writes else (_S_NONE,))
+            # writes land through the view: no scatter needed
+            gathers.append((_G_VIEW_SLICE, dat, idx))
+            scatters.append((_S_NONE,))
             continue
 
         cols = np.ascontiguousarray(arg.map.values[idx, arg.idx])
@@ -257,14 +239,13 @@ def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
 class CompiledLoop:
     """Everything re-derivable from one loop signature, computed once."""
 
-    def __init__(self, kernel: Kernel, iterset: Set, args: Sequence[Arg], backend: str, n: int):
+    def __init__(self, kernel: Kernel, iterset: Set, args: Sequence[Arg], n: int):
         from repro.op2 import parloop as _parloop  # deferred: parloop imports us
 
         args = list(args)
         self.kernel = kernel
         self.iterset = iterset
         self.args = args  # strong refs keep dats/maps alive while cached
-        self.backend = backend
         self.n = n
 
         # (a) full validation, exactly as the interpreted path performs it
@@ -278,7 +259,7 @@ class CompiledLoop:
         self.trace_attrs = {
             "kernel": kernel.name,
             "set": iterset.name,
-            "backend": backend,
+            "backend": "vec",
             "n": n,
             "descriptors": _parloop.describe_args(args),
             "compiled": True,
@@ -289,24 +270,14 @@ class CompiledLoop:
                 if not any(d is arg.dat for d in self.written_dats):
                     self.written_dats.append(arg.dat)
 
-        # (c) execution schedule: one sweep for vec, one subset per block
-        # colour for openmp (direct loops need no plan on either backend).
-        # Only the colouring is needed now (accounting reads the colour
-        # count); the gather/scatter schedule and its arena are cut by
+        # (c) execution schedule: one whole-range sweep, cut by
         # _vec_subsets() on the first execute the native tier does not take
-        racing = any(arg.creates_race for arg in args)
-        self._colouring = (
-            colour_plan.build_plan(iterset, args, n_elements=n)
-            if backend == "openmp" and racing and n > 0
-            else None
-        )
-        self.colours = 1 if self._colouring is None else self._colouring.n_block_colours
         self.subsets: list | None = None
 
         # (d) accounting constants: the interpreted path's exact counter
         # arithmetic, run once against a scratch register
         scratch = PerfCounters()
-        _parloop._account(kernel, n, args, scratch, self.colours)
+        _parloop._account(kernel, n, args, scratch)
         self.acct: LoopRecord = scratch.loops[kernel.name]
 
         # guards: cheap per-call staleness checks (shape/dtype of every dat,
@@ -326,7 +297,7 @@ class CompiledLoop:
         # its own storage-identity guards (checked per call in execute).
         from repro.native import plan as _native  # deferred: optional tier
 
-        self.native = _native.try_compile_op2(kernel, args, backend, n, kernel.name)
+        self.native = _native.try_compile_op2(kernel, args, n, kernel.name)
         if self.native is not None:
             self.trace_attrs["native"] = True
 
@@ -334,17 +305,13 @@ class CompiledLoop:
         """The vec gather/scatter schedule, built on first use.
 
         A site the native tier runs never pays the argsort/segment set-up
-        nor holds the buffer arena; a decline, a ``storage rebound`` drop
-        or the ``openmp`` backend builds it on their first execute.
+        nor holds the buffer arena; a decline or a ``storage rebound`` drop
+        builds it on their first execute.
         """
         subsets = self.subsets
         if subsets is None:
-            args, n, plan = self.args, self.n, self._colouring
-            if plan is not None:
-                elems = map(plan.elements_of_colour, range(plan.n_block_colours))
-                subsets = [_compile_subset(args, e, e.size) for e in elems if e.size]
-            else:
-                subsets = [_compile_subset(args, slice(0, n), n)] if n > 0 else []
+            n = self.n
+            subsets = [_compile_subset(self.args, n)] if n > 0 else []
             self.subsets = subsets
         return subsets
 
@@ -409,8 +376,6 @@ class CompiledLoop:
 def _describe(event: str, plan: CompiledLoop) -> dict:
     """Attributes of the ``plan_<event>`` trace instant."""
     attrs = {"kernel": plan.kernel.name}
-    if event != "eviction":
-        attrs["backend"] = plan.backend
     if event == "miss":
         attrs["n"] = plan.n
     return attrs
@@ -419,17 +384,16 @@ def _describe(event: str, plan: CompiledLoop) -> dict:
 def _clear_memos() -> None:
     from repro.op2 import parloop as _parloop
 
-    colour_plan.clear_plan_cache()
     _parloop._unique_count_cache.clear()
 
 
 plans = PlanCache("plan", "plan", _describe, on_clear=_clear_memos)
-clear_plan_cache = plans.clear  # compiled loops, colouring plans, unique counts
+clear_plan_cache = plans.clear  # compiled loops and unique counts
 plan_cache_stats = plans.stats
 
 
-def _signature(kernel: Kernel, iterset: Set, args: tuple, backend: str, n: int) -> tuple:
-    parts: list = [kernel.token, iterset.token, backend, n]
+def _signature(kernel: Kernel, iterset: Set, args: tuple, n: int) -> tuple:
+    parts: list = [kernel.token, iterset.token, n]
     for a in args:
         if a.glob is not None:
             parts.append(("g", a.glob.token, a.access))
@@ -440,9 +404,7 @@ def _signature(kernel: Kernel, iterset: Set, args: tuple, backend: str, n: int) 
     return tuple(parts)
 
 
-def lookup(
-    kernel: Kernel, iterset: Set, args: tuple, backend: str, n: int
-) -> CompiledLoop | None:
+def lookup(kernel: Kernel, iterset: Set, args: tuple, n: int) -> CompiledLoop | None:
     """Fetch (or compile) the plan for this loop site; None -> take the slow path.
 
     Returns None only when a signature cannot even be formed (malformed
@@ -458,9 +420,9 @@ def lookup(
         return None
 
     try:
-        key = _signature(kernel, iterset, args, backend, n)
+        key = _signature(kernel, iterset, args, n)
     except (AttributeError, TypeError):
         return None
     # the build runs inside this call, so a traced plan build nests under lookup
-    return plans.get(key, CompiledLoop, kernel, iterset, args, backend, n)
+    return plans.get(key, CompiledLoop, kernel, iterset, args, n)
 

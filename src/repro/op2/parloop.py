@@ -1,8 +1,8 @@
 """``op_par_loop``: the single entry point for computation over a set.
 
-Dispatches to a backend (``seq``, ``vec``, ``openmp``, ``cuda``) selected
-per call or process-wide; distributed-memory execution wraps rank-local
-``par_loop`` calls via :class:`repro.op2.halo.PartitionedMesh`.
+Dispatches to the backend named per call (``seq`` or ``vec``);
+distributed-memory execution wraps rank-local ``par_loop`` calls via
+:class:`repro.op2.halo.PartitionedMesh`.
 
 Every execution:
 
@@ -19,7 +19,7 @@ import numpy as np
 from repro.common.access import validate_argument_access
 from repro.common.config import get_config
 from repro.common.counters import PerfCounters, Timer
-from repro.common.errors import APIError, DescriptorViolation
+from repro.common.errors import BACKENDS, APIError, DescriptorViolation, unknown_backend
 from repro.common.profiling import (
     ArgEvent,
     LoopEvent,
@@ -35,16 +35,12 @@ from repro.telemetry import tracer as _trace
 from repro.op2 import execplan
 from repro.ops import lazy as _ops_lazy
 from repro.op2.args import Arg
-# the backend table is resolved once at import: the per-call `from ... import
-# BACKENDS` used to run on every single loop invocation
-from repro.op2.backends import BACKENDS
+from repro.op2.backends import execute_seq, execute_subset
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
 
 __all__ = [
     "par_loop",
-    "set_default_backend",
-    "get_default_backend",
     "active_counters",
     "counters_scope",
     "loop_chain_record",
@@ -53,21 +49,6 @@ __all__ = [
     "LoopEvent",
     "ArgEvent",
 ]
-
-_default_backend = "vec"
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend for :func:`par_loop`."""
-    if name not in BACKENDS:
-        raise APIError(f"unknown backend {name!r}; available: {sorted(BACKENDS)}")
-    global _default_backend
-    _default_backend = name
-
-
-def get_default_backend() -> str:
-    return _default_backend
-
 
 def _event_for(kernel: Kernel, args: list[Arg]) -> LoopEvent:
     return LoopEvent(
@@ -118,12 +99,12 @@ def _unique_union(columns_key: tuple, columns, n: int, rows: int) -> int:
     return count
 
 
-def _account(kernel: Kernel, n: int, args: list[Arg], counters: PerfCounters, colours: int) -> None:
+def _account(kernel: Kernel, n: int, args: list[Arg], counters: PerfCounters) -> None:
     rec = counters.loop(kernel.name)
     rec.invocations += 1
     rec.iterations += n
     rec.flops += kernel.flops_per_elem * n
-    rec.colours = max(rec.colours, colours)
+    rec.colours = max(rec.colours, 1)
     # group indirect args by dat: the same dat referenced through several
     # map slots (e.g. the four corner nodes of a cell) is loaded from DRAM
     # once and re-referenced from cache
@@ -175,11 +156,19 @@ def validate_loop_args(kernel: Kernel, iterset: Set, arg_list: list[Arg]) -> Non
         )
 
 
+def interpret(backend: str, kernel: Kernel, args: list[Arg], n: int) -> None:
+    """Interpreted execution: per-element ``seq`` or one vectorised sweep."""
+    if backend == "seq":
+        execute_seq(kernel, args, n)
+    else:
+        execute_subset(kernel, args, slice(0, n), n)
+
+
 def par_loop(
     kernel: Kernel,
     iterset: Set,
     *args: Arg,
-    backend: str | None = None,
+    backend: str = "vec",
     n_elements: int | None = None,
 ) -> None:
     """Execute ``kernel`` over every element of ``iterset``.
@@ -187,7 +176,9 @@ def par_loop(
     ``n_elements`` restricts execution to the first N elements (used by the
     distributed runtime to iterate owned extents only).
 
-    On the ``vec`` and ``openmp`` backends the first invocation of a loop
+    ``backend`` is ``"vec"`` (default) or ``"seq"``; any other name raises
+    :class:`APIError` before observers, queued OPS loops or the trace see
+    the call.  On ``vec`` the first invocation of a loop
     signature compiles a :class:`repro.op2.execplan.CompiledLoop`; later
     invocations replay it (validation, gather columns, buffers and the INC
     scatter schedule are all amortised).  ``verify_descriptors`` bypasses
@@ -198,31 +189,26 @@ def par_loop(
     queued by the lazy runtime; they precede this loop in program order,
     so drain them first (the op2-aware queue hook).
     """
+    if backend not in BACKENDS:
+        raise unknown_backend(backend)
     if _ops_lazy.ACTIVE:
         _ops_lazy.flush_point("op2_par_loop")
     cfg = get_config()
-    name = backend if backend is not None else _default_backend
     if (
-        cfg.use_execplan
-        and name in execplan.FAST_BACKENDS
+        backend == "vec"
+        and cfg.use_execplan
         and not cfg.verify_descriptors
         and isinstance(kernel, Kernel)
         and isinstance(iterset, Set)
     ):
         n = iterset.size if n_elements is None else min(n_elements, iterset.total_size)
-        compiled = execplan.lookup(kernel, iterset, args, name, n)
+        compiled = execplan.lookup(kernel, iterset, args, n)
         if compiled is not None:
             compiled.execute()
             return
 
     arg_list = list(args)
     validate_loop_args(kernel, iterset, arg_list)
-
-    try:
-        impl = BACKENDS[name]
-    except KeyError:
-        raise APIError(f"unknown backend {name!r}; available: {sorted(BACKENDS)}") from None
-
     n = iterset.size if n_elements is None else min(n_elements, iterset.total_size)
 
     # only build the LoopEvent (and its per-arg descriptor list) when an
@@ -247,7 +233,7 @@ def par_loop(
     if trc is not None:
         span = trc.begin(
             "par_loop", "op2",
-            kernel=kernel.name, set=iterset.name, backend=name, n=n,
+            kernel=kernel.name, set=iterset.name, backend=backend, n=n,
             descriptors=describe_args(arg_list),
         )
     try:
@@ -255,10 +241,9 @@ def par_loop(
             if cfg.verify_descriptors:
                 from repro.verify.sanitizer import sanitized_execute
 
-                colours, shadow_runs = sanitized_execute(impl, kernel, iterset, arg_list, n)
-                counters.record_sanitized_loop(shadow_runs)
+                counters.record_sanitized_loop(sanitized_execute(backend, kernel, arg_list, n))
             else:
-                colours = impl(kernel, iterset, arg_list, n)
+                interpret(backend, kernel, arg_list, n)
     except DescriptorViolation as err:
         if trc is not None:
             trc.instant(
@@ -269,7 +254,7 @@ def par_loop(
     finally:
         if span is not None:
             trc.end(span)
-    _account(kernel, n, arg_list, counters, colours)
+    _account(kernel, n, arg_list, counters)
 
     # any dat written by this loop has stale halo copies on other ranks
     for arg in arg_list:

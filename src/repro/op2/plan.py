@@ -1,7 +1,7 @@
 """Execution plans: OP2's two-level colouring, built at run time per loop.
 
 A plan is constructed for any loop with potential race conflicts (indirect
-WRITE/RW/INC args) and cached, keyed by the loop's structure.  It contains:
+WRITE/RW/INC args).  It contains:
 
 * a partition of the iteration set into mini-blocks of ``block_size``,
 * a block colouring (same-coloured blocks run concurrently on OpenMP
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.config import get_config
 from repro.op2 import color as colouring
 from repro.op2.args import Arg
 from repro.op2.set import Set
 
-_plan_cache: dict[tuple, "Plan"] = {}
+#: default mini-block size (elements per block)
+BLOCK_SIZE = 256
 
 
 @dataclass
@@ -81,36 +81,15 @@ def _race_targets(args: list[Arg], n: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def plan_key(iterset: Set, args: list[Arg], block_size: int, n: int) -> tuple:
-    """Cache key: iteration structure, racing maps/indices, block size.
-
-    Keys use the objects' monotonic ``token``s, not ``id()``: a plan cached
-    for a garbage-collected Map must not be served to a new Map that happens
-    to reuse its address.
-    """
-    parts: list = [iterset.token, n, block_size]
-    for arg in args:
-        if arg.creates_race:
-            parts.append((arg.map.token, arg.idx, arg.dat.token))
-    return tuple(parts)
-
-
 def build_plan(
     iterset: Set,
     args: list[Arg],
     *,
-    block_size: int | None = None,
+    block_size: int = BLOCK_SIZE,
     n_elements: int | None = None,
 ) -> Plan:
-    """Build (or fetch from cache) the plan for a loop over ``iterset``."""
-    if block_size is None:
-        block_size = get_config().plan_block_size
+    """Build the plan for a loop over ``iterset``."""
     n = iterset.size if n_elements is None else n_elements
-    key = plan_key(iterset, args, block_size, n)
-    cached = _plan_cache.get(key)
-    if cached is not None:
-        return cached
-
     targets = _race_targets(args, n)
     block_of = np.arange(n, dtype=np.int64) // block_size
     n_blocks = int(block_of[-1]) + 1 if n else 0
@@ -118,7 +97,7 @@ def build_plan(
     block_colour, n_block_colours = colouring.colour_blocks(block_of, targets, n_blocks)
     elem_colour, n_elem_colours = _colour_within_blocks(block_of, targets, n, block_size)
 
-    plan = Plan(
+    return Plan(
         n_elements=n,
         block_size=block_size,
         block_of=block_of,
@@ -128,8 +107,6 @@ def build_plan(
         elem_colour=elem_colour,
         n_elem_colours=n_elem_colours,
     )
-    _plan_cache[key] = plan
-    return plan
 
 
 def _colour_within_blocks(
@@ -149,7 +126,3 @@ def _colour_within_blocks(
         overall = max(overall, ncol)
     return elem_colour, overall
 
-
-def clear_plan_cache() -> None:
-    """Drop all cached plans (tests / reconfiguration)."""
-    _plan_cache.clear()

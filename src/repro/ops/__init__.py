@@ -36,7 +36,7 @@ from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.stencil import Stencil, S2D_00, S2D_5PT, S1D_0, S1D_3PT
 from repro.ops.reduction import Reduction
-from repro.ops.parloop import par_loop, set_default_backend
+from repro.ops.parloop import par_loop
 from repro.ops.execplan import CompiledOpsLoop, clear_plan_cache, plan_cache_stats, set_plan_cache_capacity
 from repro.ops.halo import Halo, HaloGroup
 from repro.ops.decomp import DecomposedBlock
@@ -65,7 +65,6 @@ __all__ = [
     "S1D_3PT",
     "Reduction",
     "par_loop",
-    "set_default_backend",
     "CompiledOpsLoop",
     "clear_plan_cache",
     "plan_cache_stats",

@@ -64,11 +64,6 @@ __all__ = [
     "set_plan_cache_capacity",
 ]
 
-#: backends the compiled path covers; ``seq`` deliberately stays the
-#: untouched interpreted semantic baseline
-FAST_BACKENDS = frozenset({"vec"})
-
-
 class FastAccessor:
     """Array accessor with the shifted views cached per stencil offset.
 
@@ -117,7 +112,6 @@ class CompiledOpsLoop:
         block: Block,
         ranges: list[tuple[int, int]],
         args: Sequence,
-        backend: str,
         loop_name: str,
         flops_per_point: int,
     ):
@@ -128,7 +122,6 @@ class CompiledOpsLoop:
 
         self.kernel = kernel
         self.name = loop_name
-        self.backend = backend
         self.args = list(args)  # strong refs keep dats alive while cached
 
         # (b) the prebuilt event descriptors, reduction slots, written-dat list
@@ -138,7 +131,7 @@ class CompiledOpsLoop:
         self.trace_attrs = {
             "kernel": loop_name,
             "block": block.name,
-            "backend": backend,
+            "backend": "vec",
             "n": _parloop._npoints(ranges),
             "descriptors": _parloop.describe_args(args),
             "compiled": True,
@@ -300,9 +293,7 @@ class CompiledOpsLoop:
 
 def _describe(event: str, plan: CompiledOpsLoop) -> dict:
     """Attributes of the ``plan_<event>`` trace instant."""
-    if event == "eviction":
-        return {"kernel": plan.name}
-    return {"kernel": plan.name, "backend": plan.backend}
+    return {"kernel": plan.name}
 
 
 plans = PlanCache("plan", "plan", _describe)
@@ -315,7 +306,6 @@ def _signature(
     block: Block,
     ranges: list[tuple[int, int]],
     args: Sequence,
-    backend: str,
     loop_name: str,
     flops_per_point: int,
 ) -> tuple:
@@ -323,7 +313,6 @@ def _signature(
         kernel_token(kernel),
         block.token,
         tuple(ranges),
-        backend,
         loop_name,
         flops_per_point,
     ]
@@ -342,7 +331,6 @@ def lookup(
     block: Block,
     ranges: list[tuple[int, int]],
     args: Sequence,
-    backend: str,
     loop_name: str,
     flops_per_point: int,
 ) -> CompiledOpsLoop | None:
@@ -361,12 +349,12 @@ def lookup(
         return None
 
     try:
-        key = _signature(kernel, block, ranges, args, backend, loop_name, flops_per_point)
+        key = _signature(kernel, block, ranges, args, loop_name, flops_per_point)
     except (AttributeError, TypeError):
         return None
     # the build runs inside this call, so a traced plan build nests under lookup
     return plans.get(
         key, CompiledOpsLoop,
-        kernel, block, ranges, args, backend, loop_name, flops_per_point,
+        kernel, block, ranges, args, loop_name, flops_per_point,
     )
 

@@ -127,7 +127,6 @@ class QueuedLoop:
     block: object
     ranges: list
     args: tuple
-    backend: str
     name: str
     flops_per_point: int
     sig: tuple
@@ -174,23 +173,18 @@ def enqueue(
     block,
     ranges: list,
     args: Sequence,
-    backend: str,
     name: str,
     flops_per_point: int,
-) -> bool:
-    """Queue one loop; False means the caller must execute it eagerly.
+) -> None:
+    """Queue one ``vec`` loop.
 
-    Only ``vec`` loops queue: ``seq`` is the per-point interpreted
-    reference and unknown backends must raise eagerly with their usual
-    diagnostics.  Validation runs here so malformed loops
-    still fail at the call site, not at some distant flush.
+    Validation runs here so malformed loops still fail at the call site,
+    not at some distant flush.
     """
     from repro.lint.abstract import certify_callable
     from repro.ops.parloop import DatArg, _validate
     from repro.ops.reduction import Reduction
 
-    if backend != "vec":
-        return False
     _validate(block, ranges, args, name)
 
     cert = certify_callable(kernel)
@@ -231,7 +225,6 @@ def enqueue(
         _kernel_code_id(kernel),
         block.token,
         ranges_key,
-        backend,
         fusable,
         tuple(sig_args),
     )
@@ -240,7 +233,6 @@ def enqueue(
         block=block,
         ranges=ranges,
         args=tuple(args),
-        backend=backend,
         name=name,
         flops_per_point=flops_per_point,
         sig=sig,
@@ -260,7 +252,6 @@ def enqueue(
     _active_add(1)
     if len(st.queue) >= QUEUE_LIMIT:
         flush("queue_limit")
-    return True
 
 
 def flush_point(reason: str = "observe") -> None:
@@ -395,7 +386,7 @@ def _execute_whole(q: QueuedLoop) -> None:
     from repro.ops.parloop import _execute_loop
 
     _execute_loop(
-        q.kernel, q.block, q.ranges, q.args, q.backend, q.name,
+        q.kernel, q.block, q.ranges, q.args, "vec", q.name,
         q.flops_per_point, False,
     )
 
@@ -405,7 +396,7 @@ def _plan_for(q: QueuedLoop):
     from repro.ops import execplan
 
     return execplan.lookup(
-        q.kernel, q.block, q.ranges, q.args, q.backend, q.name, q.flops_per_point
+        q.kernel, q.block, q.ranges, q.args, q.name, q.flops_per_point
     )
 
 

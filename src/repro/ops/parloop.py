@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from repro.common.access import Access, validate_argument_access
 from repro.common.config import get_config
 from repro.common.counters import PerfCounters, Timer
-from repro.common.errors import APIError, DescriptorViolation
+from repro.common.errors import BACKENDS, APIError, DescriptorViolation, unknown_backend
 from repro.common.profiling import (
     ArgEvent,
     LoopEvent,
@@ -41,8 +41,6 @@ from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
 from repro.ops.stencil import Stencil
 
-_default_backend = "vec"
-
 
 @dataclass
 class DatArg:
@@ -54,18 +52,6 @@ class DatArg:
 
 
 LoopArg = DatArg | Reduction
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend for OPS loops."""
-    if name not in ("seq", "vec"):
-        raise APIError(f"unknown OPS backend {name!r}; available: seq, vec")
-    global _default_backend
-    _default_backend = name
-
-
-def get_default_backend() -> str:
-    return _default_backend
 
 
 def _validate(
@@ -211,7 +197,7 @@ def par_loop(
     block: Block,
     ranges: Sequence[tuple[int, int] | list[int]],
     *args: LoopArg,
-    backend: str | None = None,
+    backend: str = "vec",
     name: str | None = None,
     flops_per_point: int = 0,
     check: bool | None = None,
@@ -222,7 +208,9 @@ def par_loop(
     half-open.  Negative coordinates reach into the halo (boundary-condition
     loops do this, within each dat's ``halo_depth``).
 
-    On the ``vec`` backend the first invocation of a loop signature
+    ``backend`` is ``"vec"`` (default) or ``"seq"``; any other name raises
+    :class:`APIError` before the queue, observers or the trace see the
+    call.  On ``vec`` the first invocation of a loop signature
     compiles a :class:`repro.ops.execplan.CompiledOpsLoop`; later
     invocations replay it (validation, region views and accounting are all
     amortised).  Stencil checking and
@@ -237,27 +225,27 @@ def par_loop(
     checking, descriptor verification, active loop observers) first drain
     the queue, preserving program order, then execute eagerly.
     """
+    if backend not in BACKENDS:
+        raise unknown_backend(backend)
     ranges_t = [tuple(int(c) for c in r) for r in ranges]
     loop_name = name or getattr(kernel, "__name__", "ops_loop")
     cfg = get_config()
     do_check = cfg.check_stencils if check is None else check
-    chosen = backend if backend is not None else _default_backend
     if cfg.lazy or _lazy.ACTIVE:
         if (
             cfg.lazy
+            and backend == "vec"
             and not do_check
             and not cfg.verify_descriptors
             and not observers_active()
-            and _lazy.enqueue(
-                kernel, block, ranges_t, args, chosen, loop_name, flops_per_point
-            )
         ):
+            _lazy.enqueue(kernel, block, ranges_t, args, loop_name, flops_per_point)
             return
         # this loop runs eagerly; anything still queued precedes it in
         # program order and must land first
         _lazy.flush_point("eager_par_loop")
     _execute_loop(
-        kernel, block, ranges_t, args, chosen, loop_name, flops_per_point, do_check
+        kernel, block, ranges_t, args, backend, loop_name, flops_per_point, do_check
     )
 
 
@@ -266,7 +254,7 @@ def _execute_loop(
     block: Block,
     ranges_t: Sequence[tuple[int, int]],
     args: Sequence[LoopArg],
-    chosen: str,
+    backend: str,
     loop_name: str,
     flops_per_point: int,
     do_check: bool,
@@ -274,15 +262,13 @@ def _execute_loop(
     """Eager execution of one loop (the dispatch target of lazy flushes too)."""
     cfg = get_config()
     if (
-        cfg.use_execplan
-        and chosen in execplan.FAST_BACKENDS
+        backend == "vec"
+        and cfg.use_execplan
         and not do_check
         and not cfg.verify_descriptors
         and isinstance(block, Block)
     ):
-        compiled = execplan.lookup(
-            kernel, block, ranges_t, args, chosen, loop_name, flops_per_point
-        )
+        compiled = execplan.lookup(kernel, block, ranges_t, args, loop_name, flops_per_point)
         if compiled is not None:
             compiled.execute(args)
             return
@@ -317,17 +303,15 @@ def _execute_loop(
     if trc is not None:
         span = trc.begin(
             "par_loop", "ops",
-            kernel=loop_name, block=block.name, backend=chosen,
+            kernel=loop_name, block=block.name, backend=backend,
             n=_npoints(ranges_t), descriptors=describe_args(args),
         )
     try:
         with Timer(rec):
-            if chosen == "seq":
+            if backend == "seq":
                 _run_seq(kernel, ranges_t, args, do_check, guard_loop)
-            elif chosen == "vec":
-                _run_vec(kernel, ranges_t, args, do_check, guard_loop)
             else:
-                raise APIError(f"unknown OPS backend {chosen!r}; available: seq, vec")
+                _run_vec(kernel, ranges_t, args, do_check, guard_loop)
             if sanitize:
                 ops_post_check(loop_name, ranges_t, args, snaps)
                 counters.record_sanitized_loop()

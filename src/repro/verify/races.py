@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.common.access import Access
 from repro.common.errors import RaceViolation
-from repro.op2.plan import Plan, _race_targets, build_plan
+from repro.op2.plan import BLOCK_SIZE, Plan, _race_targets, build_plan
 
 
 def race_targets(args: Sequence, n: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def torn_update_check(
     args: Sequence,
     *,
     n: int | None = None,
-    block_size: int | None = None,
+    block_size: int = BLOCK_SIZE,
     plan: Plan | None = None,
     seed: int = 0,
     rtol: float = 1e-12,

@@ -121,10 +121,11 @@ def _clone_universe(args, dat_snaps: dict[int, np.ndarray], glob_snaps: dict[int
     return clones, dats, globs
 
 
-def sanitized_execute(impl, kernel, iterset, args: list, n: int) -> tuple[int, int]:
-    """Run ``impl`` under the sanitizer; returns (colours, shadow runs)."""
+def sanitized_execute(backend: str, kernel, args: list, n: int) -> int:
+    """Run the loop on ``backend`` under the sanitizer; returns the shadow runs."""
     from repro.common.config import get_config
-    from repro.op2.backends import BACKENDS
+    from repro.op2.backends import execute_seq
+    from repro.op2.parloop import interpret
 
     loop = kernel.name
     groups = _group_by_dat(args)
@@ -143,7 +144,7 @@ def sanitized_execute(impl, kernel, iterset, args: list, n: int) -> tuple[int, i
         guarded.append((dat, dat.data.flags.writeable))
         dat.data.flags.writeable = False
     try:
-        colours = impl(kernel, iterset, args, n)
+        interpret(backend, kernel, args, n)
     except ValueError as exc:
         if "read-only" not in str(exc):
             raise
@@ -203,13 +204,11 @@ def sanitized_execute(impl, kernel, iterset, args: list, n: int) -> tuple[int, i
         }
         if pure or inc_globs:
             shadow_runs = 2
-            # the shadow pair always runs seq: it builds no plans (openmp/
-            # cuda would pollute the plan cache with clone-dat ids), and it
-            # hands the kernel direct views of the accumulated values — vec
-            # gathers INC args into zeroed buffers and scatters with add.at,
-            # which would mask an overwriting "increment" (f[0] = x behaves
-            # like f[0] += x on a zero buffer)
-            shadow_impl = BACKENDS["seq"]
+            # the shadow pair always runs seq: it hands the kernel direct
+            # views of the accumulated values — vec gathers INC args into
+            # zeroed buffers and scatters with add.at, which would mask an
+            # overwriting "increment" (f[0] = x behaves like f[0] += x on a
+            # zero buffer)
             shifts: dict[int, float] = {}
             universes = []
             for run, sentinel in enumerate(_SENTINELS):
@@ -229,7 +228,7 @@ def sanitized_execute(impl, kernel, iterset, args: list, n: int) -> tuple[int, i
                     c = shifts.setdefault(gkey, 1.0 + float(np.max(np.abs(glob_snaps[gkey]))))
                     if run == 0:
                         globs[gkey].data += c
-                shadow_impl(kernel, iterset, clones, n)
+                execute_seq(kernel, clones, n)
                 universes.append((dats, globs))
             (d1, g1), (d2, g2) = universes
             for key, mode in pure.items():
@@ -270,7 +269,7 @@ def sanitized_execute(impl, kernel, iterset, args: list, n: int) -> tuple[int, i
                         f"contribution depends on the current value",
                         loop=loop, arg_index=i, kind="inc-not-increment",
                     )
-    return colours, shadow_runs
+    return shadow_runs
 
 
 # --------------------------------------------------------------------------

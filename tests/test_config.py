@@ -1,6 +1,5 @@
 """Runtime configuration: swap scopes and the knobs subsystems honour."""
 
-import numpy as np
 import pytest
 
 from repro import ops
@@ -10,24 +9,28 @@ from repro.common.errors import StencilMismatchError
 
 class TestSwap:
     def test_override_and_restore(self):
-        base = get_config().plan_block_size
-        with swap(plan_block_size=7):
-            assert get_config().plan_block_size == 7
-        assert get_config().plan_block_size == base
+        base = get_config().execplan_cache_size
+        with swap(execplan_cache_size=7):
+            assert get_config().execplan_cache_size == 7
+        assert get_config().execplan_cache_size == base
 
     def test_nested(self):
+        base = get_config().deadlock_timeout
+        base_check = get_config().check_stencils
         with swap(check_stencils=True):
-            with swap(plan_block_size=3):
+            with swap(deadlock_timeout=3.0):
                 assert get_config().check_stencils
-                assert get_config().plan_block_size == 3
+                assert get_config().deadlock_timeout == 3.0
             assert get_config().check_stencils
+            assert get_config().deadlock_timeout == base
+        assert get_config().check_stencils == base_check
 
     def test_restores_on_exception(self):
-        base = get_config().cuda_block_size
+        base = get_config().verify_shadow
         with pytest.raises(RuntimeError):
-            with swap(cuda_block_size=1):
+            with swap(verify_shadow=not base):
                 raise RuntimeError("boom")
-        assert get_config().cuda_block_size == base
+        assert get_config().verify_shadow == base
 
 
 class TestCheckStencilsKnob:
@@ -60,19 +63,3 @@ class TestCheckStencilsKnob:
             ops.par_loop(bad, blk, [(2, 4), (2, 4)],
                          u(ops.READ, ops.S2D_5PT), v(ops.WRITE), check=False)
 
-
-class TestPlanBlockSizeKnob:
-    def test_plan_uses_config_default(self):
-        from repro import op2
-        from repro.op2.plan import build_plan, clear_plan_cache
-
-        nodes, edges = op2.Set(33), op2.Set(32)
-        m = op2.Map(edges, nodes, 2, [[i, i + 1] for i in range(32)])
-        acc = op2.Dat(nodes, 1)
-        args = [acc(op2.INC, m, 0), acc(op2.INC, m, 1)]
-        clear_plan_cache()
-        with swap(plan_block_size=8):
-            plan = build_plan(edges, args)
-        assert plan.block_size == 8
-        assert plan.n_blocks == 4
-        clear_plan_cache()

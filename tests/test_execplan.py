@@ -41,7 +41,7 @@ class TestOp2Equivalence:
         m = app.mesh
         return rms, m.q.data.copy(), m.res.data.copy(), m.adt.data.copy()
 
-    @pytest.mark.parametrize("backend", ["vec", "openmp"])
+    @pytest.mark.parametrize("backend", ["vec"])
     def test_airfoil_compiled_is_bitwise(self, backend):
         rms_i, q_i, res_i, adt_i = self._airfoil(backend, False)
         rms_c, q_c, res_c, adt_c = self._airfoil(backend, True)
@@ -99,19 +99,12 @@ class TestOpsEquivalence:
 
     @pytest.mark.parametrize("backend", ["vec"])
     def test_multiblock_compiled_is_bitwise(self, backend):
-        import repro.ops.parloop as opl
-
         def run(use_plan: bool):
             clear_plan_caches()
             initial = np.add.outer(np.arange(16.0), np.sin(np.arange(8.0)))
-            prev = opl.get_default_backend()
-            opl.set_default_backend(backend)
-            try:
-                with swap(use_execplan=use_plan):
-                    mb = MultiBlockDiffusion(8, 8, initial=initial)
-                    mb.run(4)
-            finally:
-                opl.set_default_backend(prev)
+            with swap(use_execplan=use_plan):
+                mb = MultiBlockDiffusion(8, 8, initial=initial, backend=backend)
+                mb.run(4)
             return mb.solution()
 
         np.testing.assert_array_equal(run(True), run(False))
@@ -250,13 +243,12 @@ def _direct_loop_site():
 
 
 class TestOp2Registry:
-    @pytest.mark.parametrize("backend", ["vec", "openmp"])
-    def test_vec_schedule_is_cut_on_first_non_native_execute(self, backend):
+    def test_vec_schedule_is_cut_on_first_non_native_execute(self):
         """A plan builds only the tier it runs: looking a site up cuts no
         gather/scatter schedule; the first execute without a native kernel
         (lambda kernels never compile) does, once."""
         nodes, x, k = _direct_loop_site()
-        plan = op2_exec.lookup(k, nodes, (x(op2.RW),), backend, nodes.size)
+        plan = op2_exec.lookup(k, nodes, (x(op2.RW),), nodes.size)
         assert plan.native is None and plan.subsets is None
         plan.execute()
         cut = plan.subsets
@@ -311,15 +303,15 @@ class TestOp2Registry:
         np.testing.assert_array_equal(s.data[:, 0], [5.0, 3.0, 1.0])
 
     def test_clear_plan_cache_empties(self):
-        """op2's reset also drops the colouring and unique-count memos."""
-        from repro.op2 import parloop, plan as colour_plan
+        """op2's reset also drops the unique-count memo."""
+        from repro.op2 import parloop
 
-        AirfoilApp(generate_mesh(4, 3), backend="openmp").run(1)
+        AirfoilApp(generate_mesh(4, 3)).run(1)
         assert op2_exec.plan_cache_stats()["size"] >= 1
-        assert colour_plan._plan_cache and parloop._unique_count_cache
+        assert parloop._unique_count_cache
         op2.clear_plan_cache()
         assert op2_exec.plan_cache_stats()["size"] == 0
-        assert not colour_plan._plan_cache and not parloop._unique_count_cache
+        assert not parloop._unique_count_cache
 
     def test_written_dats_marked_halo_dirty(self):
         nodes, x, k = _direct_loop_site()
@@ -426,7 +418,7 @@ class TestRangeArgument:
         block, d, scale = TestOpsRegistry._site()
         full = [(1, 5), (0, 5)]
         args = (d(ops.RW),)
-        plan = ops_exec.lookup(scale, block, full, args, "vec", "scale", 0)
+        plan = ops_exec.lookup(scale, block, full, args, "scale", 0)
         before = d.data.copy()
         for bad in (
             [(0, 5), (0, 5)],   # one row below the plan's range

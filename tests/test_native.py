@@ -108,17 +108,11 @@ class TestDiffBatteryRank1:
 
     def test_multiblock(self):
         from repro.apps.multiblock.app import MultiBlockDiffusion
-        import repro.ops.parloop as opl
 
         def run():
             initial = np.add.outer(np.arange(16.0), np.sin(np.arange(8.0)))
-            mb = MultiBlockDiffusion(8, 8, initial=initial)
-            prev = opl.get_default_backend()
-            opl.set_default_backend("vec")
-            try:
-                mb.run(4)
-            finally:
-                opl.set_default_backend(prev)
+            mb = MultiBlockDiffusion(8, 8, initial=initial, backend="vec")
+            mb.run(4)
             return {"u": mb.solution()}
 
         _native_vs_vec(run).assert_agree()
@@ -343,7 +337,7 @@ class TestRangeParametricPlan:
         blk, args, observe, reset = self._site(kernel)
         with swap(native=native):
             first = args()
-            plan = execplan.lookup(kernel, blk, full, first, "vec", kernel.__name__, 0)
+            plan = execplan.lookup(kernel, blk, full, first, kernel.__name__, 0)
         assert (plan.native is not None) == (native and kernel is not _smooth_exp)
         reset()
         plan.execute(first)
@@ -570,8 +564,7 @@ class TestStagedOpsInc:
                     if sweep == "vec":
                         ops.par_loop(_summary, blk, self.RANGES, *args, backend="vec")
                         continue
-                    plan = execplan.lookup(_summary, blk, self.RANGES, args, "vec",
-                                           "_summary", 0)
+                    plan = execplan.lookup(_summary, blk, self.RANGES, args, "_summary", 0)
                     for tile in self.TILES:
                         plan.execute(args, tile)
             return (total.value, weighted.value, lo.value), counters

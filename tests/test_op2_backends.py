@@ -1,20 +1,21 @@
-"""Backend equivalence: seq / vec / openmp / cuda must agree bitwise-ish.
+"""Backend equivalence: seq and vec must agree bitwise-ish.
 
-The sequential backend is the semantic reference; every array backend must
-reproduce it on direct loops, indirect reads, indirect increments and
-global reductions — including on randomly generated meshes (hypothesis).
+The sequential backend is the semantic reference; vec must reproduce it on
+direct loops, indirect reads, indirect increments and global reductions —
+including on randomly generated meshes (hypothesis), where the two-level
+colouring those meshes get is also checked by the race detector.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import op2
-from repro.common.config import swap
+from repro import op2, verify
 from repro.common.counters import PerfCounters
 from repro.common.profiling import counters_scope
+from repro.op2.plan import build_plan
 
-BACKENDS = ["seq", "vec", "openmp", "cuda"]
+BACKENDS = ["seq", "vec"]
 
 
 # module-level kernels so inspect.getsource works
@@ -172,13 +173,6 @@ def test_counters_tag_indirect_traffic():
     assert rec.indirect_writes > 0
 
 
-def test_openmp_counts_colours():
-    c = PerfCounters()
-    with counters_scope(c):
-        run_indirect_inc("openmp")
-    assert c.loop("k_edge_inc").colours >= 1
-
-
 def test_unknown_backend_rejected():
     s = op2.Set(2)
     v = op2.Dat(s, 1)
@@ -193,16 +187,16 @@ def test_non_kernel_rejected():
 
 
 class TestRandomMeshEquivalence:
-    """Property test: on random meshes every backend matches seq."""
+    """Property test: on random meshes vec matches seq, and the colouring
+    plan of every such mesh passes the static and dynamic race checks."""
 
     @given(
         n_nodes=st.integers(2, 25),
         n_edges=st.integers(1, 60),
         seed=st.integers(0, 2**31),
-        backend=st.sampled_from(["vec", "openmp", "cuda"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_indirect_inc_matches_seq(self, n_nodes, n_edges, seed, backend):
+    def test_indirect_inc_matches_seq(self, n_nodes, n_edges, seed):
         rng = np.random.default_rng(seed)
         conn = np.stack(
             [rng.integers(0, n_nodes, n_edges), rng.integers(0, n_nodes, n_edges)],
@@ -217,18 +211,26 @@ class TestRandomMeshEquivalence:
             acc = op2.Dat(nodes, 1)
             return nodes, edges, m, x, acc
 
+        def loop_args(m, x, acc):
+            return [
+                acc(op2.INC, m, 0),
+                acc(op2.INC, m, 1),
+                x(op2.READ, m, 0),
+                x(op2.READ, m, 1),
+            ]
+
         results = {}
-        for be in ("seq", backend):
+        for be in BACKENDS:
             _, edges, m, x, acc = build()
-            with swap(plan_block_size=4, cuda_block_size=4):
-                op2.par_loop(
-                    K_EDGE_INC,
-                    edges,
-                    acc(op2.INC, m, 0),
-                    acc(op2.INC, m, 1),
-                    x(op2.READ, m, 0),
-                    x(op2.READ, m, 1),
-                    backend=be,
-                )
+            op2.par_loop(K_EDGE_INC, edges, *loop_args(m, x, acc), backend=be)
             results[be] = acc.data.copy()
-        np.testing.assert_allclose(results[backend], results["seq"], atol=1e-12)
+        np.testing.assert_allclose(results["vec"], results["seq"], atol=1e-12)
+
+        # small blocks give the random mesh many blocks to colour; these are
+        # the checks that fail on a wrong colouring (a sweep through
+        # np.add.at would not: it accumulates correctly either way)
+        _, edges, m, x, acc = build()
+        args = loop_args(m, x, acc)
+        plan = build_plan(edges, args, block_size=4)
+        assert verify.check_plan(plan, args, loop="k_edge_inc") >= 1
+        verify.torn_update_check(K_EDGE_INC, edges, args, plan=plan, seed=seed)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import op2
-from repro.common.config import swap
 from repro.op2.color import colour_blocks, colour_elements, verify_colouring
-from repro.op2.plan import build_plan, clear_plan_cache
+from repro.op2.plan import BLOCK_SIZE, build_plan
 
 
 class TestElementColouring:
@@ -110,12 +109,6 @@ class TestPlan:
                 assert not (seen & tgt)
                 seen |= tgt
 
-    def test_plan_cached(self):
-        edges, args, bs = self._race_mesh()
-        p1 = build_plan(edges, args, block_size=bs)
-        p2 = build_plan(edges, args, block_size=bs)
-        assert p1 is p2
-
     def test_different_block_size_different_plan(self):
         edges, args, _ = self._race_mesh()
         p1 = build_plan(edges, args, block_size=8)
@@ -129,12 +122,11 @@ class TestPlan:
         plan = build_plan(s, [d(op2.RW)], block_size=4)
         assert plan.n_block_colours == 1
 
-    def test_config_block_size_used(self):
+    def test_default_block_size(self):
         edges, args, _ = self._race_mesh()
-        clear_plan_cache()
-        with swap(plan_block_size=16):
-            plan = build_plan(edges, args)
-        assert plan.block_size == 16
+        plan = build_plan(edges, args)
+        assert plan.block_size == BLOCK_SIZE
+        assert plan.n_blocks == 1
 
 
 def _conflict_degrees(targets: np.ndarray) -> np.ndarray:

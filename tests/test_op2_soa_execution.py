@@ -45,7 +45,7 @@ class TestLayoutMechanics:
 
 
 class TestExecutionOnSoA:
-    @pytest.mark.parametrize("backend", ["seq", "vec", "cuda"])
+    @pytest.mark.parametrize("backend", ["seq", "vec"])
     def test_direct_loop_identical(self, backend):
         s = op2.Set(10)
         vals = np.random.default_rng(0).standard_normal((10, 2))

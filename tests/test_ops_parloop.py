@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import ops
+from repro import op2, ops
 from repro.common.counters import PerfCounters
 from repro.common.errors import APIError, StencilMismatchError
-from repro.common.profiling import counters_scope
+from repro.common.profiling import add_loop_observer, counters_scope, remove_loop_observer
+from repro.ops import lazy
 
 
 def smooth(a, b):
@@ -15,6 +16,10 @@ def smooth(a, b):
 
 def copy_k(a, b):
     b[0, 0] = a[0, 0]
+
+
+def op2_double(a):
+    a[0] = 2.0 * a[0]
 
 
 def setup(nx=12, ny=10):
@@ -145,8 +150,53 @@ class TestValidation:
             with pytest.raises(APIError, match="available: seq, vec$"):
                 ops.par_loop(copy_k, blk, [(0, 2), (0, 2)], u(ops.READ), v(ops.WRITE),
                              backend=backend)
+
+
+class TestUnknownBackendRejectedAtEntry:
+    """Both ``par_loop``s reject a backend outside {seq, vec} before any side
+    effect: an observer (a checkpoint manager) never records a loop that did
+    not run, and loops already queued by the lazy runtime stay queued."""
+
+    @staticmethod
+    def _bad_call(api: str, backend: str):
+        """The rejected call, with its data built up front (building data
+        is itself a lazy observation point)."""
+        if api == "ops":
+            blk, u, w = setup()
+            return lambda: ops.par_loop(
+                copy_k, blk, [(0, 4), (0, 4)], u(ops.READ), w(ops.WRITE),
+                backend=backend, name="kk",
+            )
+        s = op2.Set(4, "s")
+        d = op2.Dat(s, 1, np.ones(4), name="d")
+        k = op2.Kernel(op2_double, "kk")
+        return lambda: op2.par_loop(k, s, d(op2.RW), backend=backend)
+
+    @pytest.mark.parametrize("backend", ["openmp", "cuda"])
+    @pytest.mark.parametrize("api", ["op2", "ops"])
+    def test_no_event_observed(self, api, backend):
+        call = self._bad_call(api, backend)
+        events = []
+        add_loop_observer(events.append)
+        try:
             with pytest.raises(APIError, match="available: seq, vec$"):
-                ops.set_default_backend(backend)
+                call()
+        finally:
+            remove_loop_observer(events.append)
+        assert events == []
+
+    @pytest.mark.parametrize("backend", ["openmp", "cuda"])
+    @pytest.mark.parametrize("api", ["op2", "ops"])
+    def test_nothing_flushed(self, api, backend):
+        blk, u, v = setup()
+        call = self._bad_call(api, backend)
+        with lazy.lazy_scope():
+            ops.par_loop(copy_k, blk, [(0, 12), (0, 10)], u(ops.READ), v(ops.WRITE))
+            assert lazy.queued_loops() == 1
+            with pytest.raises(APIError, match="available: seq, vec$"):
+                call()
+            assert lazy.queued_loops() == 1
+        np.testing.assert_array_equal(v.interior, u.interior)
 
 
 class TestCounters:
