@@ -1,7 +1,9 @@
 """Shared primitives used by every subsystem.
 
 This package deliberately has no dependency on any other ``repro``
-subpackage; everything else builds on top of it.
+subpackage — except that ``site`` and ``plancache`` report to the
+telemetry tracer and ``site.lookup`` consults the kernel certificate —
+and everything else builds on top of it.
 """
 
 from repro.common.access import Access, OP_READ, OP_WRITE, OP_RW, OP_INC, OP_MIN, OP_MAX

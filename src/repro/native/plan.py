@@ -6,6 +6,10 @@ execplan layer calls while building a plan.  They either return a bound
 marshalling around it) or record exactly one ``native.fallback`` telemetry
 instant + counter and return ``None`` — the plan then keeps its
 interpreted vec machinery, so a decline is never observable in results.
+A bound loop has no guard of its own: it bakes storage addresses, and the
+owning :class:`~repro.common.site.CompiledSite`'s one identity guard
+invalidates the site when any of those arrays is rebound, so the plan
+cache rebuilds and re-admits it.
 
 The admission ladder, in order:
 
@@ -47,12 +51,23 @@ from repro.telemetry import tracer as _trace
 __all__ = ["NativeOpsLoop", "NativeOp2Loop", "try_compile_ops", "try_compile_op2"]
 
 
-def _fallback(domain: str, loop_name: str, reason: str) -> None:
-    """Account one declined loop: counter tick, reason, one telemetry instant."""
+def _admit(domain: str, build, loop_name: str, *args):
+    """``build(*args)``, or None after accounting one declined loop: a
+    counter tick, the reason and one ``native.fallback`` instant."""
+    if get_config().native:
+        try:
+            return build(*args)
+        except (_cgen.Untranslatable, _cache.NativeUnavailable) as exc:
+            reason = exc.reason
+        except Exception as exc:  # the native tier must never break a plan
+            reason = f"internal:{type(exc).__name__}: {exc}"
+    else:
+        reason = "disabled"
     active_counters().record_native_fallback(domain, loop_name, reason)
     trc = _trace.ACTIVE
     if trc is not None:
         trc.instant("native.fallback", "native", domain=domain, loop=loop_name, reason=reason)
+    return None
 
 
 def _load(source: str, loop_name: str):
@@ -163,7 +178,7 @@ class NativeOpsLoop:
 
         A sub-range must lie inside ``self.ranges`` — the storage-bounds
         proof covers nothing else and the C performs no checks; the owning
-        :class:`~repro.ops.execplan.CompiledOpsLoop` verifies containment
+        :class:`~repro.common.site.CompiledSite` verifies containment
         before calling.
         """
         if ranges is not None:
@@ -202,16 +217,7 @@ class NativeOpsLoop:
 
 def try_compile_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop | None:
     """Admission + build for one OPS loop site; None means use vec."""
-    if not get_config().native:
-        _fallback("ops", loop_name, "disabled")
-        return None
-    try:
-        return _build_ops(kernel, ranges, args, loop_name)
-    except (_cgen.Untranslatable, _cache.NativeUnavailable) as exc:
-        _fallback("ops", loop_name, exc.reason)
-    except Exception as exc:  # the native tier must never break a plan
-        _fallback("ops", loop_name, f"internal:{type(exc).__name__}: {exc}")
-    return None
+    return _admit("ops", _build_ops, loop_name, kernel, ranges, args, loop_name)
 
 
 def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
@@ -326,26 +332,19 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
 class NativeOp2Loop:
     """A compiled unstructured loop bound to its storage addresses."""
 
-    __slots__ = ("call", "gmm_cells", "red_arr", "ginc", "guards", "_keepalive")
+    __slots__ = ("call", "gmm_cells", "red_arr", "ginc", "_keepalive")
 
-    def __init__(self, call, gmm_cells, red_arr, ginc, guards, keepalive):
+    def __init__(self, call, gmm_cells, red_arr, ginc, keepalive):
         self.call = call
         self.gmm_cells = gmm_cells  # [(slot, glob, cell), ...]
         self.red_arr = red_arr
         #: [(glob, (n, dim) stage), ...] — the per-element increment rows
         #: of each global INC argument, exactly the vec tier's buffer
         self.ginc = ginc
-        self.guards = guards  # [(owner, ndarray), ...] — identity checks
         self._keepalive = keepalive
 
-    def still_valid(self) -> bool:
-        """The baked addresses are only valid while every array survives."""
-        for owner, arr in self.guards:
-            if owner.data is not arr:
-                return False
-        return True
-
-    def execute(self) -> None:
+    def execute(self, args, ranges=None) -> None:
+        """Run the kernel over the whole admitted set (op2 has no sub-range)."""
         red = self.red_arr
         cells = self.gmm_cells
         for j, g, c in cells:
@@ -359,16 +358,7 @@ class NativeOp2Loop:
 
 def try_compile_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop | None:
     """Admission + build for one OP2 loop site; None means use vec."""
-    if not get_config().native:
-        _fallback("op2", loop_name, "disabled")
-        return None
-    try:
-        return _build_op2(kernel, args, n, loop_name)
-    except (_cgen.Untranslatable, _cache.NativeUnavailable) as exc:
-        _fallback("op2", loop_name, exc.reason)
-    except Exception as exc:  # the native tier must never break a plan
-        _fallback("op2", loop_name, f"internal:{type(exc).__name__}: {exc}")
-    return None
+    return _admit("op2", _build_op2, loop_name, kernel, args, n, loop_name)
 
 
 def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
@@ -450,35 +440,15 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     }
 
     ptr_vals = []
-    guards: list[tuple] = []
-    seen = set()
-
-    def guard(owner) -> None:
-        if id(owner) not in seen:
-            seen.add(id(owner))
-            guards.append((owner, owner.data))
-
     for role, k in code.ptr_spec:
         if role == "dat":
             ptr_vals.append(args[k].dat.data.ctypes.data)
-            guard(args[k].dat)
         elif role == "scratch":
             ptr_vals.append(scratch[k].ctypes.data)
         else:  # glob
             ptr_vals.append(args[k].glob.data.ctypes.data)
-            guard(args[k].glob)
-    gmm_cells = []
-    for j, entry in enumerate(code.red_spec):
-        _, k, c, _kind = entry
-        gmm_cells.append((j, args[k].glob, c))
-        guard(args[k].glob)
-    ginc = []
-    for k, spec in enumerate(argspecs):
-        if spec[0] == "ginc":
-            ginc.append((args[k].glob, scratch[k]))
-            # no address of the global is baked, but its float64 check is:
-            # a rebound global drops the tier like any other storage change
-            guard(args[k].glob)
+    gmm_cells = [(j, args[k].glob, c) for j, (_, k, c, _kind) in enumerate(code.red_spec)]
+    ginc = [(args[k].glob, scratch[k]) for k, spec in enumerate(argspecs) if spec[0] == "ginc"]
 
     ptrs = np.asarray(ptr_vals, dtype=np.uint64) if ptr_vals else np.empty(0, np.uint64)
     col_arrs = [cols[k] for _, k in code.map_spec]
@@ -496,4 +466,4 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     kern = _load(code.source, loop_name)
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
     keepalive = (kern, ptrs, marr, narr, cv_arr, col_arrs, scratch, args)
-    return NativeOp2Loop(call, gmm_cells, red_arr, ginc, guards, keepalive)
+    return NativeOp2Loop(call, gmm_cells, red_arr, ginc, keepalive)

@@ -5,15 +5,11 @@ The paper's central performance argument (Sections II-IV, following the
 from a loop's access descriptors — validation, colouring, gather columns,
 buffer shapes, scatter schedules — can be computed on the *first* execution
 and amortised over every later one.  The interpreted path in
-:mod:`repro.op2.parloop` re-derives all of it per call; this module caches
-it in a :class:`CompiledLoop`:
-
-* the validated descriptor list and the prebuilt loop-event descriptors,
-* the native tier's compiled kernel when admission succeeds,
-* the loop's exact traffic/flop accounting, folded into the counters as
-  precomputed constants,
-
-and — cut on the first execute the native tier does not take, so a plan
+:mod:`repro.op2.parloop` re-derives all of it per call; a
+:class:`CompiledLoop` is the op2 :class:`~repro.common.site.CompiledSite`,
+which owns the call life cycle, the storage guard and native dispatch.
+It adds the op2 validation, event descriptors and accounting and —
+cut on the first execute the native tier does not take, so a plan
 builds only the tier it runs:
 
 * the gather index arrays of the one whole-range sweep,
@@ -32,9 +28,10 @@ builds only the tier it runs:
 Compiled loops live in :data:`plans`, a
 :class:`~repro.common.plancache.PlanCache` keyed by *stable* monotonic
 tokens (kernel, iteration set, per-arg dat/map/idx/access, ``n``), never by
-``id()``.  The op2 guard: an entry is invalidated when a dat's storage
-shape/dtype or a map's values array changes.  :func:`clear_plan_cache`
-drops every entry together with the unique-count memo.
+``id()``.  The site's one guard invalidates an entry when any dat's or
+global's ``data`` or any map's ``values`` array is rebound.
+:func:`clear_plan_cache` drops every entry together with the unique-count
+memo.
 """
 
 from __future__ import annotations
@@ -43,16 +40,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.common import site as _site
 from repro.common.access import Access
-from repro.common.counters import LoopRecord, PerfCounters, Timer
+from repro.common.counters import PerfCounters
 from repro.common.plancache import PlanCache, set_plan_cache_capacity
-from repro.common.profiling import (
-    LoopEvent,
-    active_counters,
-    notify_loop,
-    observers_active,
-)
-from repro.telemetry import tracer as _trace
+from repro.op2 import parloop as _parloop  # a cycle: both only read attributes at call time
 from repro.op2.args import Arg
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
@@ -236,138 +228,56 @@ def _compile_subset(args: Sequence[Arg], m: int) -> _SubsetExec:
     return _SubsetExec(m, gathers, scatters)
 
 
-class CompiledLoop:
-    """Everything re-derivable from one loop signature, computed once."""
+class CompiledLoop(_site.CompiledSite):
+    """One op2 loop site: validation, accounting and the gather/scatter sweep."""
+
+    api = "op2"
 
     def __init__(self, kernel: Kernel, iterset: Set, args: Sequence[Arg], n: int):
-        from repro.op2 import parloop as _parloop  # deferred: parloop imports us
-
         args = list(args)
-        self.kernel = kernel
-        self.iterset = iterset
-        self.args = args  # strong refs keep dats/maps alive while cached
-        self.n = n
-
-        # (a) full validation, exactly as the interpreted path performs it
+        # full validation, exactly as the interpreted path performs it
         _parloop.validate_loop_args(kernel, iterset, args)
-
-        # (b) the prebuilt event descriptors and the written-dat list (halo
-        # staleness)
-        self.arg_events = _parloop._event_for(kernel, args).args
-        # span attributes are part of the plan too: formatting descriptors
-        # per call would dominate a traced fast path
-        self.trace_attrs = {
+        self.kernel = kernel
+        self.n = n
+        # execution schedule: one whole-range sweep, cut by _run_vec() on
+        # the first execute the native tier does not take
+        self.subsets: list | None = None
+        super().__init__(kernel.name, args, {
             "kernel": kernel.name,
             "set": iterset.name,
             "backend": "vec",
             "n": n,
             "descriptors": _parloop.describe_args(args),
             "compiled": True,
-        }
-        self.written_dats = []
-        for arg in args:
-            if arg.dat is not None and arg.access.writes:
-                if not any(d is arg.dat for d in self.written_dats):
-                    self.written_dats.append(arg.dat)
+        })
 
-        # (c) execution schedule: one whole-range sweep, cut by
-        # _vec_subsets() on the first execute the native tier does not take
-        self.subsets: list | None = None
+    def _event_for(self, args):
+        return _parloop._event_for(self.kernel, args)
 
-        # (d) accounting constants: the interpreted path's exact counter
-        # arithmetic, run once against a scratch register
-        scratch = PerfCounters()
-        _parloop._account(kernel, n, args, scratch)
-        self.acct: LoopRecord = scratch.loops[kernel.name]
+    def _account(self, counters: PerfCounters) -> None:
+        _parloop._account(self.kernel, self.n, self.args, counters)
 
-        # guards: cheap per-call staleness checks (shape/dtype of every dat,
-        # identity of every map's values array)
-        dat_guards: dict[int, tuple] = {}
-        map_guards: dict[int, tuple] = {}
-        for arg in args:
-            if arg.dat is not None:
-                dat_guards[arg.dat.token] = (arg.dat, arg.dat.data.shape, arg.dat.data.dtype)
-            if arg.map is not None:
-                map_guards[arg.map.token] = (arg.map, arg.map.values)
-        self._dat_guards = list(dat_guards.values())
-        self._map_guards = list(map_guards.values())
+    def _guard_owners(self):
+        for a in self.args:
+            yield (a.glob if a.dat is None else a.dat), "data"
+            if a.map is not None:
+                yield a.map, "values"
 
-        # (e) native tier: a compiled C kernel under the same plan.  The
-        # plan's own guards track shape/dtype only, so the native loop keeps
-        # its own storage-identity guards (checked per call in execute).
+    def _admit(self):
         from repro.native import plan as _native  # deferred: optional tier
 
-        self.native = _native.try_compile_op2(kernel, args, n, kernel.name)
-        if self.native is not None:
-            self.trace_attrs["native"] = True
+        return _native.try_compile_op2(self.kernel, self.args, self.n, self.name)
 
-    def _vec_subsets(self) -> list:
-        """The vec gather/scatter schedule, built on first use.
-
-        A site the native tier runs never pays the argsort/segment set-up
-        nor holds the buffer arena; a decline or a ``storage rebound`` drop
-        builds it on their first execute.
-        """
+    def _run_vec(self, args, ranges) -> None:
+        # a site the native tier runs never pays the argsort/segment set-up
+        # nor holds the buffer arena; a decline builds it here, once
         subsets = self.subsets
         if subsets is None:
             n = self.n
-            subsets = [_compile_subset(self.args, n)] if n > 0 else []
-            self.subsets = subsets
-        return subsets
-
-    def still_valid(self) -> bool:
-        """True while the shapes/arrays the plan was built from are unchanged."""
-        for dat, shape, dtype in self._dat_guards:
-            if dat.data.shape != shape or dat.data.dtype != dtype:
-                return False
-        for map_, values in self._map_guards:
-            if map_.values is not values:
-                return False
-        return True
-
-    def execute(self) -> None:
-        """Replay the plan: notify, run every subset, account, mark halos."""
-        if observers_active():
-            # a fresh event per call: an observer may keep the one it got
-            event = LoopEvent(self.kernel.name, self.arg_events, "op2")
-            notify_loop(event)
-            if event.skip:
-                # recovery fast-forward: same contract as the interpreted path
-                for dat in self.written_dats:
-                    dat.halo_dirty = True
-                return
-
-        counters = active_counters()
-        rec = counters.loop(self.kernel.name)
-        nat = self.native
-        if nat is not None and not nat.still_valid():
-            # a dat/global rebound its storage under the baked addresses:
-            # permanently drop this plan's native tier (the plan itself is
-            # still valid — its views go through dat.data, not addresses)
-            from repro.native import plan as _native
-
-            self.native = nat = None
-            self.trace_attrs.pop("native", None)
-            _native._fallback("op2", self.kernel.name, "storage rebound")
-        subsets = self._vec_subsets() if nat is None else ()
-        trc = _trace.ACTIVE
-        span = trc.begin("par_loop", "op2", **self.trace_attrs) if trc is not None else None
-        try:
-            with Timer(rec):
-                if nat is not None:
-                    counters.record_native_call()
-                    nat.execute()
-                else:
-                    vec_func = self.kernel.vec_func
-                    for subset in subsets:
-                        subset.run(vec_func)
-        finally:
-            if span is not None:
-                trc.end(span)
-        rec.merge(self.acct)
-
-        for dat in self.written_dats:
-            dat.halo_dirty = True
+            subsets = self.subsets = [_compile_subset(self.args, n)] if n > 0 else []
+        vec_func = self.kernel.vec_func
+        for subset in subsets:
+            subset.run(vec_func)
 
 
 # -- plan cache ---------------------------------------------------------------
@@ -382,8 +292,6 @@ def _describe(event: str, plan: CompiledLoop) -> dict:
 
 
 def _clear_memos() -> None:
-    from repro.op2 import parloop as _parloop
-
     _parloop._unique_count_cache.clear()
 
 
@@ -405,24 +313,5 @@ def _signature(kernel: Kernel, iterset: Set, args: tuple, n: int) -> tuple:
 
 
 def lookup(kernel: Kernel, iterset: Set, args: tuple, n: int) -> CompiledLoop | None:
-    """Fetch (or compile) the plan for this loop site; None -> take the slow path.
-
-    Returns None only when a signature cannot even be formed (malformed
-    arguments) so the interpreted path can raise its usual diagnostics.
-    Compilation itself runs the full interpreted-path validation and lets
-    any :class:`~repro.common.errors.APIError` propagate.
-    """
-    from repro.lint.abstract import certify_callable
-
-    if certify_callable(kernel).rng:
-        # the kernel draws random numbers: its output is not a pure
-        # function of the signature, so a replayed plan is not a replay
-        return None
-
-    try:
-        key = _signature(kernel, iterset, args, n)
-    except (AttributeError, TypeError):
-        return None
-    # the build runs inside this call, so a traced plan build nests under lookup
-    return plans.get(key, CompiledLoop, kernel, iterset, args, n)
-
+    """Fetch (or compile) the plan for this loop site; None -> take the slow path."""
+    return _site.lookup(plans, kernel, _signature, CompiledLoop, iterset, args, n)

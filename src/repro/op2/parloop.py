@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.common.access import validate_argument_access
 from repro.common.config import get_config
-from repro.common.counters import PerfCounters, Timer
-from repro.common.errors import BACKENDS, APIError, DescriptorViolation, unknown_backend
+from repro.common.counters import PerfCounters
+from repro.common.errors import BACKENDS, APIError, unknown_backend
 from repro.common.profiling import (
     ArgEvent,
     LoopEvent,
@@ -27,11 +27,10 @@ from repro.common.profiling import (
     add_loop_observer,
     counters_scope,
     loop_chain_record,
-    notify_loop,
     observers_active,
     remove_loop_observer,
 )
-from repro.telemetry import tracer as _trace
+from repro.common.site import announce, interpreted_loop, mark_written, written_dats
 from repro.op2 import execplan
 from repro.ops import lazy as _ops_lazy
 from repro.op2.args import Arg
@@ -191,9 +190,12 @@ def par_loop(
     """
     if backend not in BACKENDS:
         raise unknown_backend(backend)
+    if n_elements is not None and n_elements < 0:
+        raise APIError(f"n_elements must be >= 0, got {n_elements}")
     if _ops_lazy.ACTIVE:
         _ops_lazy.flush_point("op2_par_loop")
     cfg = get_config()
+    n = iterset.size if n_elements is None else min(n_elements, iterset.total_size)
     if (
         backend == "vec"
         and cfg.use_execplan
@@ -201,7 +203,6 @@ def par_loop(
         and isinstance(kernel, Kernel)
         and isinstance(iterset, Set)
     ):
-        n = iterset.size if n_elements is None else min(n_elements, iterset.total_size)
         compiled = execplan.lookup(kernel, iterset, args, n)
         if compiled is not None:
             compiled.execute()
@@ -209,54 +210,24 @@ def par_loop(
 
     arg_list = list(args)
     validate_loop_args(kernel, iterset, arg_list)
-    n = iterset.size if n_elements is None else min(n_elements, iterset.total_size)
+    written = written_dats(arg_list)
 
     # only build the LoopEvent (and its per-arg descriptor list) when an
     # observer is actually listening — nothing else can set event.skip
-    if observers_active():
-        event = _event_for(kernel, arg_list)
-        notify_loop(event)
-        if event.skip:
-            # recovery fast-forward: no computation, observers have already
-            # restored any recorded global-argument values.  Halo staleness
-            # must still advance as if the loop ran, or a distributed
-            # replay's exchange schedule diverges from the original run's
-            for arg in arg_list:
-                if arg.dat is not None and arg.access.writes:
-                    arg.dat.halo_dirty = True
-            return
+    if observers_active() and announce(_event_for(kernel, arg_list), written):
+        return
 
-    trc = _trace.ACTIVE
-    counters = active_counters()
-    rec = counters.loop(kernel.name)
-    span = None
-    if trc is not None:
-        span = trc.begin(
-            "par_loop", "op2",
-            kernel=kernel.name, set=iterset.name, backend=backend, n=n,
-            descriptors=describe_args(arg_list),
-        )
-    try:
-        with Timer(rec):
-            if cfg.verify_descriptors:
-                from repro.verify.sanitizer import sanitized_execute
+    with interpreted_loop(
+        "op2", kernel.name,
+        kernel=kernel.name, set=iterset.name, backend=backend, n=n,
+        descriptors=describe_args(arg_list),
+    ) as counters:
+        if cfg.verify_descriptors:
+            from repro.verify.sanitizer import sanitized_execute
 
-                counters.record_sanitized_loop(sanitized_execute(backend, kernel, arg_list, n))
-            else:
-                interpret(backend, kernel, arg_list, n)
-    except DescriptorViolation as err:
-        if trc is not None:
-            trc.instant(
-                "verify_violation", "verify",
-                loop=err.loop, kind=err.kind, arg_index=err.arg_index,
-            )
-        raise
-    finally:
-        if span is not None:
-            trc.end(span)
+            counters.record_sanitized_loop(sanitized_execute(backend, kernel, arg_list, n))
+        else:
+            interpret(backend, kernel, arg_list, n)
     _account(kernel, n, arg_list, counters)
-
     # any dat written by this loop has stale halo copies on other ranks
-    for arg in arg_list:
-        if arg.dat is not None and arg.access.writes:
-            arg.dat.halo_dirty = True
+    mark_written(written)

@@ -6,15 +6,13 @@ stencils and ranges — range validation, shifted region views, the loop
 event, traffic accounting — is computed on the first execution and
 replayed afterwards.
 
-A :class:`CompiledOpsLoop` holds:
-
-* the validated argument list and the prebuilt loop-event descriptors,
-* the native tier's compiled kernel when admission succeeds, otherwise one
-  :class:`FastAccessor` per dat argument: the shifted storage views for
-  every declared stencil offset, computed once — the interpreted
-  :class:`~repro.ops.accessor.RangeAccessor` re-slices on every ``u[off]``
-  of every invocation,
-* the loop's exact traffic/flop accounting as precomputed constants.
+A :class:`CompiledOpsLoop` is the ops :class:`~repro.common.site.CompiledSite`,
+which owns the call life cycle, the storage guard and native dispatch.  It
+adds the ops validation, event descriptors and accounting and, when the
+native tier declines, one :class:`FastAccessor` per dat argument: the
+shifted storage views for every declared stencil offset, computed once —
+the interpreted :class:`~repro.ops.accessor.RangeAccessor` re-slices on
+every ``u[off]`` of every invocation.
 
 A plan is *range-parametric*: it is built, validated and admitted once for
 the loop's full ranges, and ``execute(args, ranges)`` replays it over any
@@ -30,9 +28,9 @@ accessor position, and — when observed — a fresh descriptor in that
 call's own loop event).
 
 Plans live in :data:`plans`, a :class:`~repro.common.plancache.PlanCache`
-keyed by stable monotonic tokens.  The ops guard: because the cached views
-alias a dat's storage array, an entry is invalidated when any ``dat.data``
-is replaced.  ``seq`` stays the untouched interpreted reference, and
+keyed by stable monotonic tokens.  The site's one guard invalidates an
+entry when any ``dat.data`` is replaced: the cached views and baked native
+addresses alias it.  ``seq`` stays the untouched interpreted reference, and
 stencil checking / descriptor verification always bypass the compiled path.
 """
 
@@ -40,17 +38,11 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.common.counters import PerfCounters, Timer
-from repro.common.errors import APIError
+from repro.common import site as _site
+from repro.common.counters import PerfCounters
 from repro.common.plancache import PlanCache, set_plan_cache_capacity
-from repro.common.profiling import (
-    LoopEvent,
-    active_counters,
-    notify_loop,
-    observers_active,
-)
 from repro.common.tokens import kernel_token
-from repro.telemetry import tracer as _trace
+from repro.ops import parloop as _parloop  # a cycle: both only read attributes at call time
 from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
@@ -103,8 +95,10 @@ class FastAccessor:
         self._view(offset)[...] = value
 
 
-class CompiledOpsLoop:
-    """Everything re-derivable from one structured loop site, computed once."""
+class CompiledOpsLoop(_site.CompiledSite):
+    """One structured loop site: validation, accounting and cached views."""
+
+    api = "ops"
 
     def __init__(
         self,
@@ -115,73 +109,50 @@ class CompiledOpsLoop:
         loop_name: str,
         flops_per_point: int,
     ):
-        from repro.ops import parloop as _parloop  # deferred: parloop imports us
-
-        # (a) full validation, exactly as the interpreted path performs it
+        # full validation, exactly as the interpreted path performs it
         _parloop._validate(block, ranges, args, loop_name)
-
         self.kernel = kernel
-        self.name = loop_name
-        self.args = list(args)  # strong refs keep dats alive while cached
-
-        # (b) the prebuilt event descriptors, reduction slots, written-dat list
-        self.arg_events = _parloop._event_for(loop_name, args).args
-        # span attributes are part of the plan too: formatting descriptors
-        # per call would dominate a traced fast path
-        self.trace_attrs = {
+        self.ranges = tuple(ranges)
+        self.flops_per_point = flops_per_point
+        self.red_slots = [i for i, a in enumerate(args) if isinstance(a, Reduction)]
+        super().__init__(loop_name, list(args), {
             "kernel": loop_name,
             "block": block.name,
             "backend": "vec",
             "n": _parloop._npoints(ranges),
             "descriptors": _parloop.describe_args(args),
             "compiled": True,
-        }
-        self.red_slots = [i for i, a in enumerate(args) if isinstance(a, Reduction)]
-        self.written_dats = []
-        for a in args:
-            if isinstance(a, Reduction) or not a.access.writes:
-                continue
-            if not any(d is a.dat for d in self.written_dats):
-                self.written_dats.append(a.dat)
+        })
+        # vec fallback: cached-view accessors over the full range
+        self.accessors = None if self.native is not None else self._accessors(ranges)
 
-        self.ranges = tuple(ranges)
+    def _event_for(self, args):
+        return _parloop._event_for(self.name, args)
 
-        # (c) accounting constants: the interpreted path's exact counter
-        # arithmetic, run once against a scratch register.  Every traffic
-        # term is linear in the point count, so a sub-range scales the
-        # per-point quotients (flops, bytes read, bytes written, indirect
-        # reads) by its own count
-        scratch = PerfCounters()
-        _parloop._account(loop_name, ranges, args, scratch, flops_per_point)
-        acct = self.acct = scratch.loops[loop_name]
-        n = acct.iterations
-        self.per_point = tuple(
-            v // n if n else 0
-            for v in (acct.flops, acct.bytes_read, acct.bytes_written, acct.indirect_reads)
-        )
+    def _events(self, args) -> tuple:
+        # each call binds its own reduction handles
+        events = self.arg_events
+        if self.red_slots:
+            events = list(events)
+            for i in self.red_slots:
+                events[i] = _parloop._reduction_event(args[i])
+            events = tuple(events)
+        return events
 
-        # guards: cached views and baked native addresses alias each dat's
-        # storage array, so the plan is only valid while every ``dat.data``
-        # is the same ndarray
-        guards: dict[int, tuple] = {}
-        for a in args:
+    def _account(self, counters: PerfCounters) -> None:
+        _parloop._account(self.name, self.ranges, self.args, counters, self.flops_per_point)
+
+    def _guard_owners(self):
+        for a in self.args:
             if not isinstance(a, Reduction):
-                guards[a.dat.token] = (a.dat, a.dat.data)
-        self._guards = list(guards.values())
+                yield a.dat, "data"
 
-        # (d) native tier: one compiled C kernel, admitted for the full
-        # range and retargeted per sub-range.  The identity guards above
-        # already pin every baked storage address, so a native plan needs
-        # no extra invalidation machinery here.
+    def _admit(self):
+        # one compiled C kernel, admitted for the full range and retargeted
+        # per sub-range
         from repro.native import plan as _native  # deferred: optional tier
 
-        self.native = _native.try_compile_ops(kernel, ranges, args, loop_name)
-        self.accessors = None
-        if self.native is not None:
-            self.trace_attrs["native"] = True
-        else:
-            # (e) vec fallback: cached-view accessors over the full range
-            self.accessors = self._accessors(ranges)
+        return _native.try_compile_ops(self.kernel, self.ranges, self.args, self.name)
 
     def _accessors(self, ranges) -> list:
         """Cached-view accessors over ``ranges``; reduction slots stay open."""
@@ -191,101 +162,11 @@ class CompiledOpsLoop:
             for a in self.args
         ]
 
-    def still_valid(self) -> bool:
-        """True while every dat still owns the storage the views were cut from."""
-        for dat, data in self._guards:
-            if dat.data is not data:
-                return False
-        return True
-
-    def _contained_points(self, ranges) -> int:
-        """Point count of ``ranges``, which must lie inside the plan's own."""
-        full = self.ranges
-        if len(ranges) != len(full):
-            raise APIError(
-                f"loop {self.name}: sub-range {tuple(ranges)} is not {len(full)}-D"
-            )
-        n = 1
-        for (lo, hi), (flo, fhi) in zip(ranges, full):
-            if lo < flo or hi > fhi or hi < lo:
-                raise APIError(
-                    f"loop {self.name}: sub-range {tuple(ranges)} leaves the "
-                    f"plan's ranges {full}"
-                )
-            n *= hi - lo
-        return n
-
-    def execute(self, args: Sequence, ranges=None) -> None:
-        """Replay the plan with this call's reduction handles bound in.
-
-        ``ranges`` restricts the sweep to a sub-range of the plan's own
-        ranges (one lazy cross-loop tile); it is executed as a single
-        sweep, accounted by its point count, and announces no loop event —
-        the whole loop is the observable unit, and callers slicing it must
-        not have observers to serve.
-        """
-        whole = ranges is None
-        if whole:
-            if observers_active():
-                # a fresh event per call: each call binds its own reduction
-                # handles, and an observer may keep the event it was given
-                arg_events = self.arg_events
-                if self.red_slots:
-                    from repro.ops import parloop as _parloop
-
-                    arg_events = list(arg_events)
-                    for i in self.red_slots:
-                        arg_events[i] = _parloop._reduction_event(args[i])
-                    arg_events = tuple(arg_events)
-                event = LoopEvent(self.name, arg_events, "ops")
-                notify_loop(event)
-                if event.skip:
-                    # recovery fast-forward: same contract as the interpreted path
-                    for dat in self.written_dats:
-                        dat.halo_dirty = True
-                    return
-        else:
-            n = self._contained_points(ranges)
-
-        counters = active_counters()
-        rec = counters.loop(self.name)
-        kernel = self.kernel
-        red_slots = self.red_slots
-        native = self.native
-        trc = _trace.ACTIVE
-        span = None
-        if trc is not None:
-            attrs = self.trace_attrs
-            if not whole:
-                attrs = dict(attrs, n=n)
-            span = trc.begin("par_loop", "ops", **attrs)
-        try:
-            with Timer(rec):
-                if native is not None:
-                    counters.record_native_call()
-                    native.execute(args, ranges)
-                else:
-                    accs = self.accessors if whole else self._accessors(ranges)
-                    for i in red_slots:
-                        accs[i] = args[i]
-                    kernel(*accs)
-        finally:
-            if span is not None:
-                trc.end(span)
-        if whole:
-            rec.merge(self.acct)
-        else:
-            flops, bytes_read, bytes_written, indirect_reads = self.per_point
-            rec.invocations += 1
-            rec.iterations += n
-            rec.flops += n * flops
-            rec.bytes_read += n * bytes_read
-            rec.bytes_written += n * bytes_written
-            rec.indirect_reads += n * indirect_reads
-            rec.colours = max(rec.colours, 1)
-
-        for dat in self.written_dats:
-            dat.halo_dirty = True
+    def _run_vec(self, args, ranges) -> None:
+        accs = self.accessors if ranges is None else self._accessors(ranges)
+        for i in self.red_slots:
+            accs[i] = args[i]
+        self.kernel(*accs)
 
 
 # -- plan cache ---------------------------------------------------------------
@@ -334,27 +215,8 @@ def lookup(
     loop_name: str,
     flops_per_point: int,
 ) -> CompiledOpsLoop | None:
-    """Fetch (or compile) the plan for this loop site; None -> slow path.
-
-    Returns None only when a signature cannot even be formed (malformed
-    arguments) so the interpreted path can raise its usual diagnostics.
-    Compilation itself runs the full interpreted-path validation and lets
-    any :class:`~repro.common.errors.APIError` propagate.
-    """
-    from repro.lint.abstract import certify_callable
-
-    if certify_callable(kernel).rng:
-        # the kernel draws random numbers: its output is not a pure
-        # function of the signature, so a replayed plan is not a replay
-        return None
-
-    try:
-        key = _signature(kernel, block, ranges, args, loop_name, flops_per_point)
-    except (AttributeError, TypeError):
-        return None
-    # the build runs inside this call, so a traced plan build nests under lookup
-    return plans.get(
-        key, CompiledOpsLoop,
-        kernel, block, ranges, args, loop_name, flops_per_point,
+    """Fetch (or compile) the plan for this loop site; None -> slow path."""
+    return _site.lookup(
+        plans, kernel, _signature, CompiledOpsLoop,
+        block, ranges, args, loop_name, flops_per_point,
     )
-

@@ -63,6 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 from repro.common.config import get_config
 from repro.common.plancache import PlanCache
 from repro.common.profiling import active_counters, observers_active
+from repro.common.site import mark_written, written_dats
 from repro.lint.dataflow import AccessRecord
 from repro.ops.tileplan import ChainSchedule, LoopSpec, build_tile_schedule
 from repro.telemetry import tracer as _trace
@@ -243,9 +244,7 @@ def enqueue(
     # eager execution sets halo_dirty after running; queueing must mark it
     # *now* so a distributed runtime's on-demand exchange check (which runs
     # before the next loop is even queued) still sees the pending write
-    for a in args:
-        if isinstance(a, DatArg) and a.access.writes:
-            a.dat.halo_dirty = True
+    mark_written(written_dats(args))
 
     st = _state
     st.queue.append(item)

@@ -23,16 +23,10 @@ from typing import Callable, Sequence
 
 from repro.common.access import Access, validate_argument_access
 from repro.common.config import get_config
-from repro.common.counters import PerfCounters, Timer
-from repro.common.errors import BACKENDS, APIError, DescriptorViolation, unknown_backend
-from repro.common.profiling import (
-    ArgEvent,
-    LoopEvent,
-    active_counters,
-    notify_loop,
-    observers_active,
-)
-from repro.telemetry import tracer as _trace
+from repro.common.counters import PerfCounters
+from repro.common.errors import BACKENDS, APIError, unknown_backend
+from repro.common.profiling import ArgEvent, LoopEvent, observers_active
+from repro.common.site import announce, interpreted_loop, mark_written, written_dats
 from repro.ops import execplan
 from repro.ops import lazy as _lazy
 from repro.ops.accessor import PointAccessor, RangeAccessor
@@ -148,41 +142,31 @@ def describe_args(args: Sequence[LoopArg]) -> str:
     return ",".join(parts)
 
 
-def _run_vec(
+def _interpret(
+    backend: str,
     kernel: Callable,
     ranges: list[tuple[int, int]],
     args: Sequence[LoopArg],
     check: bool,
     guard_loop: str | None = None,
 ) -> None:
+    """Interpreted execution: per-point ``seq`` or one whole-range ``vec`` sweep."""
+    seq = backend == "seq"
     accessors = []
     for i, arg in enumerate(args):
         if isinstance(arg, Reduction):
             accessors.append(arg)
+            continue
+        guard = (guard_loop, i) if guard_loop is not None else None
+        if seq:
+            accessors.append(PointAccessor(arg.dat, arg.access, arg.stencil, check, guard))
         else:
-            guard = (guard_loop, i) if guard_loop is not None else None
             accessors.append(
                 RangeAccessor(arg.dat, arg.access, arg.stencil, ranges, check, guard)
             )
-    kernel(*accessors)
-
-
-def _run_seq(
-    kernel: Callable,
-    ranges: list[tuple[int, int]],
-    args: Sequence[LoopArg],
-    check: bool,
-    guard_loop: str | None = None,
-) -> None:
-    accessors = []
-    for i, arg in enumerate(args):
-        if isinstance(arg, Reduction):
-            accessors.append(arg)
-        else:
-            guard = (guard_loop, i) if guard_loop is not None else None
-            accessors.append(
-                PointAccessor(arg.dat, arg.access, arg.stencil, check, guard)
-            )
+    if not seq:
+        kernel(*accessors)
+        return
     spans = [range(lo, hi) for lo, hi in ranges]
     # last dimension fastest, matching generated C loop nests
     for point in itertools.product(*spans):
@@ -273,25 +257,13 @@ def _execute_loop(
             compiled.execute(args)
             return
     _validate(block, ranges_t, args, loop_name)
+    written = written_dats(args)
 
     # only build the LoopEvent (and its per-arg descriptor list) when an
     # observer is actually listening — nothing else can set event.skip
-    if observers_active():
-        event = _event_for(loop_name, args)
-        notify_loop(event)
-        if event.skip:
-            # recovery fast-forward: no computation, observers have already
-            # restored any recorded reduction values.  Halo staleness must
-            # still advance as if the loop ran, or a distributed replay's
-            # exchange schedule diverges from the original run's
-            for arg in args:
-                if isinstance(arg, DatArg) and arg.access.writes:
-                    arg.dat.halo_dirty = True
-            return
+    if observers_active() and announce(_event_for(loop_name, args), written):
+        return
 
-    trc = _trace.ACTIVE
-    counters = active_counters()
-    rec = counters.loop(loop_name)
     sanitize = cfg.verify_descriptors
     guard_loop = loop_name if sanitize else None
     if sanitize:
@@ -299,34 +271,14 @@ def _execute_loop(
 
         do_check = True
         snaps = ops_snapshot(args)
-    span = None
-    if trc is not None:
-        span = trc.begin(
-            "par_loop", "ops",
-            kernel=loop_name, block=block.name, backend=backend,
-            n=_npoints(ranges_t), descriptors=describe_args(args),
-        )
-    try:
-        with Timer(rec):
-            if backend == "seq":
-                _run_seq(kernel, ranges_t, args, do_check, guard_loop)
-            else:
-                _run_vec(kernel, ranges_t, args, do_check, guard_loop)
-            if sanitize:
-                ops_post_check(loop_name, ranges_t, args, snaps)
-                counters.record_sanitized_loop()
-    except DescriptorViolation as err:
-        if trc is not None:
-            trc.instant(
-                "verify_violation", "verify",
-                loop=err.loop, kind=err.kind, arg_index=err.arg_index,
-            )
-        raise
-    finally:
-        if span is not None:
-            trc.end(span)
+    with interpreted_loop(
+        "ops", loop_name,
+        kernel=loop_name, block=block.name, backend=backend,
+        n=_npoints(ranges_t), descriptors=describe_args(args),
+    ) as counters:
+        _interpret(backend, kernel, ranges_t, args, do_check, guard_loop)
+        if sanitize:
+            ops_post_check(loop_name, ranges_t, args, snaps)
+            counters.record_sanitized_loop()
     _account(loop_name, ranges_t, args, counters, flops_per_point)
-
-    for arg in args:
-        if isinstance(arg, DatArg) and arg.access.writes:
-            arg.dat.halo_dirty = True
+    mark_written(written)

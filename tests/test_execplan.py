@@ -21,11 +21,14 @@ from repro.apps.multiblock.app import MultiBlockDiffusion
 from repro.common.config import Config, configure, get_config, swap
 from repro.common.counters import PerfCounters
 from repro.common.plancache import clear_plan_caches
-from repro.common.profiling import counters_scope
+from repro.common.profiling import add_loop_observer, counters_scope, remove_loop_observer
 from repro.common.report import timing_report
+from repro.native.cache import find_compiler
 from repro.op2 import execplan as op2_exec
 from repro.ops import execplan as ops_exec
 from repro.simmpi import run_spmd
+
+requires_cc = pytest.mark.skipif(find_compiler() is None, reason="no C compiler available")
 
 
 # -- bitwise equivalence: compiled vs interpreted -----------------------------------
@@ -432,6 +435,88 @@ class TestRangeArgument:
         np.testing.assert_array_equal(d.data, before)
         plan.execute(args, [(1, 5), (0, 5)])  # the full range itself is a legal slice
         assert d.interior[0, 0] == 1.5 and d.interior[1, 0] == 3.0
+
+
+# -- the one site contract, on both libraries -------------------------------------
+
+
+def _double_op2(a):
+    a[0] = a[0] * 2.0
+
+
+def _double_ops(u):
+    u[0, 0] = u[0, 0] * 2.0
+
+
+def _contract_site(api: str):
+    """A dat and a call of one compiled site that doubles it."""
+    if api == "op2":
+        cells = op2.Set(16, "cells")
+        d = op2.Dat(cells, 1, np.arange(16.0), name="d")
+        k = op2.Kernel(_double_op2, "double")
+        return d, lambda: op2.par_loop(k, cells, d(op2.RW), backend="vec")
+    block = ops.Block(2, "siteblk")
+    d = ops.Dat(block, (4, 4), initial=np.arange(16.0).reshape(4, 4), name="d")
+    return d, lambda: ops.par_loop(
+        _double_ops, block, [(0, 4), (0, 4)], d(ops.RW), backend="vec", name="double"
+    )
+
+
+def _values(d) -> np.ndarray:
+    return d.data.ravel() if isinstance(d, op2.Dat) else d.interior.ravel()
+
+
+@pytest.mark.parametrize("api", ["op2", "ops"])
+class TestSiteContract:
+    """op2 and ops compiled sites keep one observer, skip and guard contract."""
+
+    def test_observed_calls_get_fresh_equal_events(self, api):
+        _, run = _contract_site(api)
+        events = []
+        add_loop_observer(events.append)
+        try:
+            run()
+            run()
+        finally:
+            remove_loop_observer(events.append)
+        assert len(events) == 2
+        assert events[0] is not events[1] and events[0] == events[1]
+
+    def test_skip_runs_nothing_books_nothing_marks_halos(self, api):
+        d, run = _contract_site(api)
+        run()  # build the site: the skipped call below replays it
+        before = _values(d).copy()
+
+        def skip(event):
+            event.skip = True
+
+        d.halo_dirty = False
+        counters = PerfCounters()
+        add_loop_observer(skip)
+        try:
+            with counters_scope(counters):
+                run()
+        finally:
+            remove_loop_observer(skip)
+        np.testing.assert_array_equal(_values(d), before)
+        assert counters.plan_hits == 1 and counters.loops == {}
+        assert d.halo_dirty
+
+    @pytest.mark.parametrize("native", [False, pytest.param(True, marks=requires_cc)])
+    def test_rebound_storage_invalidates_once_and_rebuilds(self, api, native, tmp_path):
+        d, run = _contract_site(api)
+        counters = PerfCounters()
+        with counters_scope(counters), swap(native=native, native_cache_dir=str(tmp_path)):
+            run()
+            d.data = d.data.copy()
+            run()
+            run()
+        assert counters.plan_invalidations == 1
+        assert (counters.plan_misses, counters.plan_hits) == (2, 1)
+        # native: the rebuilt site is admitted again and runs compiled C
+        assert counters.native_calls == (3 if native else 0)
+        assert counters.native_declines == ({} if native else {(api, "double"): "disabled"})
+        np.testing.assert_array_equal(_values(d), np.arange(16.0) * 8.0)
 
 
 _REGISTRIES = {"op2": (op2, op2_exec.plan_cache_stats), "ops": (ops, ops_exec.plan_cache_stats)}

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import op2, verify
+from repro import op2, telemetry, verify
+from repro.common.config import swap
 from repro.common.counters import PerfCounters
-from repro.common.profiling import counters_scope
+from repro.common.errors import APIError
+from repro.common.profiling import add_loop_observer, counters_scope, remove_loop_observer
 from repro.op2.plan import build_plan
 
 BACKENDS = ["seq", "vec"]
@@ -148,6 +150,28 @@ def test_n_elements_restricts_iteration():
     out = op2.Dat(s, 1)
     op2.par_loop(K_SCALE, s, v(op2.READ), out(op2.WRITE), n_elements=4)
     assert out.data[:4].all() and not out.data[4:].any()
+
+
+@pytest.mark.parametrize("use_execplan", [False, True], ids=["interpreted", "compiled"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_negative_n_elements_rejected_at_entry(backend, use_execplan):
+    """Every backend raises before an observer, the counters or the trace
+    see the call; nothing is written (``slice(0, -3)`` once wrote 7)."""
+    s = op2.Set(10)
+    v = op2.Dat(s, 1, np.ones(10))
+    out = op2.Dat(s, 1)
+    events, counters = [], PerfCounters()
+    add_loop_observer(events.append)
+    try:
+        with swap(use_execplan=use_execplan), counters_scope(counters), \
+                telemetry.tracing() as trc:
+            with pytest.raises(APIError, match="n_elements"):
+                op2.par_loop(K_SCALE, s, v(op2.READ), out(op2.WRITE),
+                             backend=backend, n_elements=-3)
+    finally:
+        remove_loop_observer(events.append)
+    assert events == [] and counters.loops == {} and not out.data.any()
+    assert not any(getattr(e, "name", None) == "par_loop" for e in trc.events())
 
 
 def test_counters_account_traffic():
