@@ -21,13 +21,7 @@ def scrambled(nx=80, ny=48):
     mesh = generate_hydra_mesh(nx, ny, jitter=0.1)
     rng = np.random.default_rng(11)
     perm = rng.permutation(mesh.fine.cells.size)
-    from repro.op2.renumber import apply_permutation
-
-    cell_dats = [d for d in mesh.all_dats if d.set is mesh.fine.cells]
-    cell_dats += [mesh.fine.q, mesh.fine.qold, mesh.fine.adt, mesh.fine.res]
-    apply_permutation(perm, cell_dats, [mesh.fine.edge2cell, mesh.fine.bedge2cell])
-    mesh.fine2coarse.values[:] = mesh.fine2coarse.values[perm]
-    mesh.fine.cell2node.values[:] = mesh.fine.cell2node.values[perm]
+    mesh.permute_cells(perm)
     return mesh
 
 

@@ -89,6 +89,7 @@ def generate_mesh(
         xs[interior_mask] += rng.uniform(-jitter, jitter, (n_int, 2)) / np.asarray(
             [nx, ny], dtype=float
         )
+    del gi, gj
 
     def nids(i, j):
         return i * (ny + 1) + j
@@ -96,27 +97,17 @@ def generate_mesh(
     def cids(i, j):
         return i * ny + j
 
-    # -- cell -> node (counter-clockwise) ------------------------------------------
-    ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ci, cj = ci.reshape(-1), cj.reshape(-1)
-    c2n = np.stack(
-        [nids(ci, cj), nids(ci + 1, cj), nids(ci + 1, cj + 1), nids(ci, cj + 1)],
-        axis=1,
-    )
+    # Each map's rows are built in temporaries that die once its Map has
+    # taken its private copy, so at most one map is held twice at a time
+    # (at 1.6 M cells each map is ~51 MB).
 
     # -- interior edges -------------------------------------------------------------
     # vertical faces between (i, j) and (i+1, j): normal +x
     vi, vj = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
     vi, vj = vi.reshape(-1), vj.reshape(-1)
-    v_nodes = np.stack([nids(vi + 1, vj + 1), nids(vi + 1, vj)], axis=1)
-    v_cells = np.stack([cids(vi, vj), cids(vi + 1, vj)], axis=1)
     # horizontal faces between (i, j) and (i, j+1): normal +y
     hi, hj = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
     hi, hj = hi.reshape(-1), hj.reshape(-1)
-    h_nodes = np.stack([nids(hi, hj + 1), nids(hi + 1, hj + 1)], axis=1)
-    h_cells = np.stack([cids(hi, hj), cids(hi, hj + 1)], axis=1)
-    e_nodes = np.vstack([v_nodes, h_nodes])
-    e_cells = np.vstack([v_cells, h_cells])
 
     # -- boundary edges ----------------------------------------------------------------
     b_nodes: list[tuple[int, int]] = []
@@ -139,14 +130,29 @@ def generate_mesh(
         b_cells.append(cid(nx - 1, j))
         b_flag.append(2.0)
 
-    edges = op2.Set(len(e_nodes), "edges")
+    edges = op2.Set(vi.size + hi.size, "edges")
     bedges = op2.Set(len(b_nodes), "bedges")
 
-    edge2node = op2.Map(edges, nodes, 2, np.asarray(e_nodes), "edge2node")
-    edge2cell = op2.Map(edges, cells, 2, np.asarray(e_cells), "edge2cell")
+    edge2node = op2.Map(edges, nodes, 2, np.vstack([
+        np.stack([nids(vi + 1, vj + 1), nids(vi + 1, vj)], axis=1),
+        np.stack([nids(hi, hj + 1), nids(hi + 1, hj + 1)], axis=1),
+    ]), "edge2node")
+    edge2cell = op2.Map(edges, cells, 2, np.vstack([
+        np.stack([cids(vi, vj), cids(vi + 1, vj)], axis=1),
+        np.stack([cids(hi, hj), cids(hi, hj + 1)], axis=1),
+    ]), "edge2cell")
+    del vi, vj, hi, hj
     bedge2node = op2.Map(bedges, nodes, 2, np.asarray(b_nodes), "bedge2node")
     bedge2cell = op2.Map(bedges, cells, 1, np.asarray(b_cells).reshape(-1, 1), "bedge2cell")
-    cell2node = op2.Map(cells, nodes, 4, c2n, "cell2node")
+
+    # -- cell -> node (counter-clockwise) ------------------------------------------
+    ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    ci, cj = ci.reshape(-1), cj.reshape(-1)
+    cell2node = op2.Map(cells, nodes, 4, np.stack(
+        [nids(ci, cj), nids(ci + 1, cj), nids(ci + 1, cj + 1), nids(ci, cj + 1)],
+        axis=1,
+    ), "cell2node")
+    del ci, cj
 
     # -- flow state: uniform free stream -------------------------------------------------
     if qinf is None:

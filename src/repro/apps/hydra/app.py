@@ -53,20 +53,9 @@ class HydraApp:
 
     def renumber(self) -> None:
         """RCM-renumber the fine cells for locality (OP2 mesh reordering)."""
-        from repro.op2.renumber import rcm_permutation, apply_permutation
+        from repro.op2.renumber import rcm_permutation
 
-        m = self.mesh
-        f = m.fine
-        perm = rcm_permutation(f.edge2cell)
-        cell_dats = [f.q, f.qold, f.adt, f.res, m.q, m.qold, m.grad, m.visc, m.adt, m.res]
-        # dats on the fine cell set only (fine.q etc. are airfoil leftovers
-        # sharing the set; include everything allocated on it)
-        cell_dats = [d for d in cell_dats if d.set is f.cells]
-        cell_maps = [f.edge2cell, f.bedge2cell]
-        apply_permutation(perm, cell_dats, cell_maps)
-        # fine->coarse maps FROM the renumbered set: permute its rows
-        m.fine2coarse.values[:] = m.fine2coarse.values[perm]
-        f.cell2node.values[:] = f.cell2node.values[perm]
+        self.mesh.permute_cells(rcm_permutation(self.mesh.fine.edge2cell))
 
     # -- serial loop chain ------------------------------------------------------------
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro import op2
 from repro.apps.airfoil.mesh import AirfoilMesh, generate_mesh
+from repro.op2.renumber import apply_permutation
 
 NVAR = 6  # rho, rho*u, rho*v, rho*E, k, omega
 NGRAD = 2 * NVAR
@@ -54,6 +55,20 @@ class HydraMesh:
             self.qc,
             self.resc,
         ]
+
+    def permute_cells(self, perm: np.ndarray) -> None:
+        """Renumber the fine cells, ``perm[new] = old``.
+
+        Permutes every dat on ``fine.cells`` in place, rewrites the maps
+        that target the cells (``edge2cell``, ``bedge2cell``) and rebinds
+        the row-permuted maps that start from them (``fine2coarse``,
+        ``cell2node``).
+        """
+        f = self.fine
+        dats = [d for d in (*f.all_dats, *self.all_dats) if d.set is f.cells]
+        apply_permutation(perm, dats, [f.edge2cell, f.bedge2cell])
+        self.fine2coarse.values = self.fine2coarse.values[perm]
+        f.cell2node.values = f.cell2node.values[perm]
 
 
 def initial_state(n_cells: int, *, seed: int = 7) -> np.ndarray:

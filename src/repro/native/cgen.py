@@ -119,7 +119,9 @@ class NativeCode:
     #: what each ``p[j]`` slot is: ("dat", argidx) | ("scratch", argidx)
     #: | ("glob", argidx) | ("stage", None) — in slot order
     ptr_spec: tuple = ()
-    #: what each ``m[j]`` slot is: ("strides",) for ops, ("cols", argidx)
+    #: what each ``m[j]`` slot is: ("strides",) for ops; for op2
+    #: ("map", argidx), the base of the first argument's ``Map.values`` —
+    #: one slot per distinct map
     map_spec: tuple = ()
     #: reduction cells in ``red`` order: ("red", argidx, kind) for ops
     #: Reduction handles, ("gmm", argidx, cell, kind) for op2 globals
@@ -127,8 +129,8 @@ class NativeCode:
     #: names resolved into ``cv`` slots at plan-build time, in slot order;
     #: ``"="name`` is a free/closure read, ``"@"name`` a defaulted parameter
     const_names: tuple = ()
-    #: op2 scratch slots: (argidx, n_components); a global INC argument's
-    #: slot is the stage the plan layer sums
+    #: op2 scratch slots: (argidx, n_components) of each staged indirect
+    #: write; a global INC argument's slot is the stage the plan layer sums
     scratch_spec: tuple = ()
     #: ops: the reduction argument each ``.inc()`` call folds into, in call
     #: order; sweep ``j`` (``n[ndim] == j``) fills the stage for call ``j``
@@ -249,11 +251,11 @@ def _subexprs(e) -> list:
 class _Bind:
     """How one kernel parameter is realised in C."""
 
-    role: str  # opsdat | opsred | direct | iread | ibuf | gread | gmm | default
+    role: str  # opsdat | opsred | direct | iread | ibuf | iacc | gread | gmm | default
     k: int  # argument position (-1 for defaults)
     dim: int = 1  # components (op2); unused for ops dats
     writable: bool = False
-    kind: str = ""  # reduction kind (opsred/gmm) or access name (ibuf)
+    kind: str = ""  # reduction kind (opsred/gmm) or access name (ibuf/iacc)
 
 
 class _Emitter:
@@ -828,6 +830,8 @@ class _Op2Emitter(_Emitter):
             return f"p{b.k}[row{b.k} * {b.dim} + {c}]"
         if b.role == "ibuf":
             return f"S{b.k}[e * {b.dim} + {c}]"
+        if b.role == "iacc":
+            return f"s{b.k}[{c}]"
         if b.role == "gread":
             if store:
                 raise Untranslatable(f"write to READ global {param!r}")
@@ -858,11 +862,27 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     """Generate two-phase C for one OP2 unstructured loop.
 
     ``argspecs`` classifies each argument: ``("direct", dim, access)``,
-    ``("ind", dim, access)``, ``("gread", dim)``, ``("gmm", dim, kind)`` or
-    ``("ginc", dim)``.  A ``ginc`` argument is a scratch slot like an
-    indirect INC buffer — zeroed per element, the kernel's ``+=`` land in
-    its row in source order — but nothing scatters it: the ``(n, dim)``
-    rows are the stage the plan layer hands to NumPy's own ``sum``.
+    ``("ind", dim, access, slot, arity, idx, staged)``, ``("gread", dim)``,
+    ``("gmm", dim, kind)`` or ``("ginc", dim)``.
+
+    An indirect argument reads its target row in place from the map's
+    C-contiguous ``(n, arity)`` values: ``m[slot]`` is that map's base
+    pointer (one slot per distinct map, numbered in first-use order) and
+    the row of element ``e`` is ``M[e * arity + idx]``.  Phase A is the
+    sweep over elements; phase B replays the staged writes:
+
+    * an indirect INC with ``staged`` false (the plan layer's call: the
+      first INC on its dat, which no other argument reads) accumulates
+      into a per-element local ``s[dim] = {0}`` added to its target row
+      at the end of the element — ``((old + c1) + c2)...`` in element
+      order, the vec segment scatter's association;
+    * a staged indirect argument (a later INC on the same dat, or any
+      WRITE/RW) computes into an ``(n, dim)`` scratch row that phase B
+      scatters, argument by argument, in element order;
+    * a ``ginc`` argument is a scratch slot like a staged INC buffer —
+      zeroed per element, the kernel's ``+=`` land in its row in source
+      order — but nothing scatters it: the ``(n, dim)`` rows are the stage
+      the plan layer hands to NumPy's own ``sum``.
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -876,6 +896,8 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     red_spec: list = []
     scratch_spec: list = []
     gmm_args: list[int] = []
+    rows: dict[int, str] = {}  # indirect argidx -> its map entry's C index
+    swept: list[int] = []  # indirect INC arguments applied inside the sweep
     for k, spec in enumerate(argspecs):
         name = params[k]
         role = spec[0]
@@ -898,19 +920,23 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             if acc not in ("READ", "WRITE", "RW", "INC"):
                 raise Untranslatable(f"access {acc} on a dat argument")
             writes = acc != "READ"
+            ptr_spec.append(("dat", k))
             if role == "direct":
                 binds[name] = _Bind("direct", k, dim=dim, writable=writes)
-                ptr_spec.append(("dat", k))
+                continue
+            slot, arity, idx, staged = int(spec[3]), int(spec[4]), int(spec[5]), spec[6]
+            if slot == len(map_spec):
+                map_spec.append(("map", k))
+            rows[k] = f"M{slot}[e * {arity} + {idx}]"
+            if not writes:
+                binds[name] = _Bind("iread", k, dim=dim)
+            elif staged or acc != "INC":
+                binds[name] = _Bind("ibuf", k, dim=dim, writable=True, kind=acc)
+                ptr_spec.append(("scratch", k))
+                scratch_spec.append((k, dim))
             else:
-                map_spec.append(("cols", k))
-                if writes:
-                    binds[name] = _Bind("ibuf", k, dim=dim, writable=True, kind=acc)
-                    ptr_spec.append(("dat", k))
-                    ptr_spec.append(("scratch", k))
-                    scratch_spec.append((k, dim))
-                else:
-                    binds[name] = _Bind("iread", k, dim=dim)
-                    ptr_spec.append(("dat", k))
+                binds[name] = _Bind("iacc", k, dim=dim, writable=True, kind="INC")
+                swept.append(k)
         else:
             raise Untranslatable(f"unknown argument role {role!r}")
 
@@ -926,18 +952,19 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             decls.append(f"    double *S{k} = p[{j}];")
         else:
             decls.append(f"    const double *g{k} = p[{j}];")
-    for j, (_, k) in enumerate(map_spec):
-        decls.append(f"    const long long *c{k} = m[{j}];")
+    for j in range(len(map_spec)):
+        decls.append(f"    const long long *M{j} = m[{j}];")
     decls.append("    const long long ne = n[0];")
     for k in gmm_args:
         b = binds[params[k]]
         for c in range(b.dim):
             decls.append(f"    double acc{k}_{c} = red[{_red_slot(red_spec, k, c)}];")
 
-    # phase A prologue per element: map columns, scratch init, global cells
-    pro: list[str] = []
-    for _, k in map_spec:
-        pro.append(f"        const long long row{k} = c{k}[e];")
+    # phase A prologue per element: target rows, accumulators, scratch
+    # init, global cells
+    pro: list[str] = [f"        const long long row{k} = {r};" for k, r in rows.items()]
+    for k in swept:
+        pro.append(f"        double s{k}[{binds[params[k]].dim}] = {{0}};")
     for k, dim in scratch_spec:
         b = binds[params[k]]
         if b.kind == "INC":
@@ -956,22 +983,29 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         for c in range(b.dim):
             pro.append(f"        a{k}[{c}] = red[{_red_slot(red_spec, k, c)}];")
 
-    # per-element epilogue: fold each global row into the running
-    # accumulator the way buf.min(axis=0) does — sequential over elements,
-    # accumulator wins ties (and g_old seeds the chain, matching the final
+    # per-element epilogue: add each swept accumulator to its row (every
+    # component, as the vec scatter adds its whole zero-initialised row),
+    # then fold each global row into the running accumulator the way
+    # buf.min(axis=0) does — sequential over elements, accumulator wins
+    # ties (and g_old seeds the chain, matching the final
     # np.minimum(g, buf.min(axis=0)) exactly)
-    gmm_epi: list[str] = []
+    epi: list[str] = []
+    for k in swept:
+        dim = binds[params[k]].dim
+        for c in range(dim):
+            epi.append(f"        p{k}[row{k} * {dim} + {c}] += s{k}[{c}];")
     for k in gmm_args:
         b = binds[params[k]]
         op = "<" if b.kind == "min" else ">"
         for c in range(b.dim):
             acc = f"acc{k}_{c}"
-            gmm_epi.append(f"        {acc} = {_np_select(acc, f'a{k}[{c}]', op)};")
+            epi.append(f"        {acc} = {_np_select(acc, f'a{k}[{c}]', op)};")
 
     local_decls = [f"        double l_{nm};" for nm in em.declared_locals()]
 
-    # phase B: scatters replayed in argument order (np.add.at element
-    # order for INC; fancy-assign last-writer-wins element order otherwise)
+    # phase B: staged scatters replayed in argument order (np.add.at
+    # element order for INC; fancy-assign last-writer-wins element order
+    # otherwise)
     phase_b: list[str] = []
     for k, dim in scratch_spec:
         if argspecs[k][0] == "ginc":
@@ -979,7 +1013,7 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         b = binds[params[k]]
         assign = "+=" if b.kind == "INC" else "="
         phase_b.append("    for (long long e = 0; e < ne; ++e) {")
-        phase_b.append(f"        const long long w{k} = c{k}[e];")
+        phase_b.append(f"        const long long w{k} = {rows[k]};")
         for c in range(dim):
             phase_b.append(
                 f"        p{k}[w{k} * {dim} + {c}] {assign} S{k}[e * {dim} + {c}];"
@@ -1006,7 +1040,7 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             *pro,
             *local_decls,
             *em.lines,
-            *gmm_epi,
+            *epi,
             "    }",
             *phase_b,
             *epilogue,

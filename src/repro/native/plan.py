@@ -28,8 +28,9 @@ The admission ladder, in order:
    per-element/per-statement execution orders coincide only then).
 4. Every certificate-proven offset must land inside the actual storage
    (ops: within halo-padded bounds for this range; op2: within ``dim``,
-   and map columns within the dat's rows) — the C has no bounds checks,
-   so admission is where memory safety is proven.
+   and map columns within the dat's rows, checked once on the map's own
+   immutable values, which the C reads in place) — the C has no bounds
+   checks, so admission is where memory safety is proven.
 5. Codegen itself (:mod:`.cgen`) declines anything without an exact C
    spelling, and the toolchain (:mod:`.cache`) declines when there is no
    compiler.
@@ -362,6 +363,14 @@ def try_compile_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop | Non
 
 
 def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
+    """Admit and bind one op2 loop site.
+
+    Decides what :func:`~repro.native.cgen.generate_op2` cannot see: which
+    arguments share a map (one ``m[]`` base pointer each, read in place
+    after a one-time bounds check) and which indirect writes must be staged
+    because another argument touches the same dat.  The plan then owns only
+    the staged ``(n, dim)`` scratch rows and the global INC stages.
+    """
     if n <= 0:
         raise _cgen.Untranslatable("empty iteration set")
     fn = getattr(kernel, "func", kernel)
@@ -379,8 +388,20 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     if len(set(written)) != len(written):
         raise _cgen.Untranslatable("global written through several arguments")
 
+    # aliasing: a dat with any written argument must either appear exactly
+    # once, or be accessed *only* indirectly — indirect reads gather before
+    # the sweep and staged indirect writes scatter after it, in argument
+    # order, exactly like the vec schedule, so ordering cannot diverge
+    for k, arg in enumerate(args):
+        if arg.dat is None or not arg.access.writes:
+            continue
+        peers = [j for j, a in enumerate(args) if a.dat is arg.dat]
+        if len(peers) > 1 and any(args[j].map is None for j in peers):
+            raise _cgen.Untranslatable("written dat aliased by a direct argument")
+
     argspecs: list[tuple] = []
-    for arg in args:
+    slots: dict[int, int] = {}  # id(map) -> m[] slot, in first-use order
+    for k, arg in enumerate(args):
         acc = arg.access.name
         if arg.glob is not None:
             if acc == "READ":
@@ -398,18 +419,29 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
         d = dat.data
         if d.ndim != 2 or not d.flags["C_CONTIGUOUS"] or d.itemsize != 8:
             raise _cgen.Untranslatable(f"dat {dat.name} storage is not dense (n, dim)")
-        argspecs.append(("direct" if arg.map is None else "ind", dat.dim, acc))
-
-    # aliasing: a dat with any written argument must either appear exactly
-    # once, or be accessed *only* indirectly — indirect reads gather before
-    # the sweep and indirect writes scatter after it, in argument order,
-    # exactly like the vec schedule, so ordering cannot diverge
-    for k, arg in enumerate(args):
-        if arg.dat is None or not arg.access.writes:
+        if arg.map is None:
+            argspecs.append(("direct", dat.dim, acc))
             continue
-        peers = [j for j, a in enumerate(args) if a.dat is arg.dat]
-        if len(peers) > 1 and any(args[j].map is None for j in peers):
-            raise _cgen.Untranslatable("written dat aliased by a direct argument")
+        # the map is read in place: its values are immutable (``Map``
+        # stores a private read-only copy and renumbering rebinds it, which
+        # the site's guard turns into a rebuild), so this one bounds check
+        # holds for the plan's life
+        vals = arg.map.values
+        if vals.dtype != np.int64 or not vals.flags["C_CONTIGUOUS"] or vals.shape[0] < n:
+            raise _cgen.Untranslatable(f"map {arg.map.name} is not dense int64 (n, arity)")
+        col = vals[:n, arg.idx]
+        if col.min() < 0 or col.max() >= d.shape[0]:
+            raise _cgen.Untranslatable(f"map column {k} leaves dat rows")
+        slot = slots.setdefault(id(arg.map), len(slots))
+        # an INC runs inside the sweep when it is the first argument on its
+        # dat and every other argument on that dat is an INC too: nothing
+        # then reads the target mid-sweep, and its scatter is the one the
+        # vec schedule runs first on that dat
+        peers = [j for j, a in enumerate(args) if a.dat is dat]
+        swept = acc == "INC" and peers[0] == k and all(
+            args[j].access.name == "INC" for j in peers
+        )
+        argspecs.append(("ind", dat.dim, acc, slot, arg.map.arity, arg.idx, not swept))
 
     # component-bounds proof: every certified offset within [0, dim)
     params = _cgen.ir_for_callable(fn).params
@@ -427,14 +459,7 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     code = _cgen.generate_op2(fn, argspecs, loop_name)
     cv = _const_values(fn, code, _cgen.ir_for_callable(fn))
 
-    # map columns (plan-owned, int64, bounds-checked) and scratch buffers
-    cols: dict[int, np.ndarray] = {}
-    for _, k in code.map_spec:
-        arg = args[k]
-        c = np.ascontiguousarray(arg.map.values[:n, arg.idx], dtype=np.int64)
-        if c.size and (c.min() < 0 or c.max() >= arg.dat.data.shape[0]):
-            raise _cgen.Untranslatable(f"map column {k} leaves dat rows")
-        cols[k] = c
+    # scratch only for the staged writes and global INC stages
     scratch: dict[int, np.ndarray] = {
         k: np.empty((n, dim), dtype=np.float64) for k, dim in code.scratch_spec
     }
@@ -451,12 +476,10 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     ginc = [(args[k].glob, scratch[k]) for k, spec in enumerate(argspecs) if spec[0] == "ginc"]
 
     ptrs = np.asarray(ptr_vals, dtype=np.uint64) if ptr_vals else np.empty(0, np.uint64)
-    col_arrs = [cols[k] for _, k in code.map_spec]
-    marr = (
-        np.asarray([_addr(c) for c in col_arrs], dtype=np.uint64)
-        if col_arrs
-        else np.empty(0, np.uint64)
-    )
+    # one base pointer per distinct map, read in place; the owning site's
+    # guard drops this plan once a map rebinds its ``values``
+    map_vals = [args[k].map.values for _, k in code.map_spec]
+    marr = np.asarray([_addr(v) for v in map_vals], dtype=np.uint64)
     narr = np.asarray([n], dtype=np.int64)
     red_arr = (
         np.zeros(len(code.red_spec), dtype=np.float64) if code.red_spec else _EMPTY_F64
@@ -465,5 +488,5 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
 
     kern = _load(code.source, loop_name)
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
-    keepalive = (kern, ptrs, marr, narr, cv_arr, col_arrs, scratch, args)
+    keepalive = (kern, ptrs, marr, narr, cv_arr, map_vals, scratch, args)
     return NativeOp2Loop(call, gmm_cells, red_arr, ginc, keepalive)

@@ -261,7 +261,7 @@ class CompiledLoop(_site.CompiledSite):
         for a in self.args:
             yield (a.glob if a.dat is None else a.dat), "data"
             if a.map is not None:
-                yield a.map, "values"
+                yield a.map, "_values"  # the storage behind the property
 
     def _admit(self):
         from repro.native import plan as _native  # deferred: optional tier

@@ -16,7 +16,16 @@ class Map:
     """A mapping from each element of ``from_set`` to ``arity`` elements of ``to_set``.
 
     e.g. ``edges -> vertices`` with arity 2, or ``cells -> vertices`` with
-    arity 4 for quads.  Values are validated to lie inside the target set.
+    arity 4 for quads.
+
+    ``values`` is immutable storage: assigning it validates the shape and
+    that every entry lies inside ``to_set``, then keeps a private
+    C-contiguous int64 ``(from_set.total_size, arity)`` copy that is
+    read-only (writing into it raises ``ValueError``).  Compiled loops read
+    that array in place, so a checked map can never change under them.  To
+    renumber, *rebind* it — ``m.values = inverse[m.values]`` — which
+    invalidates every cached loop built on the old array; see
+    :func:`repro.op2.renumber.apply_permutation`.
     """
 
     def __init__(self, from_set: Set, to_set: Set, arity: int, values, name: str | None = None):
@@ -25,22 +34,31 @@ class Map:
         self.from_set = from_set
         self.to_set = to_set
         self.arity = int(arity)
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.ndim == 1:
-            vals = vals.reshape(-1, self.arity)
-        if vals.shape != (from_set.total_size, self.arity):
-            raise APIError(
-                f"map {name or '?'}: values shape {vals.shape} != "
-                f"({from_set.total_size}, {self.arity})"
-            )
-        if vals.size and (vals.min() < 0 or vals.max() >= to_set.total_size):
-            raise APIError(
-                f"map {name or '?'}: entries must lie in [0, {to_set.total_size})"
-            )
-        self.values = vals
         self.name = name if name is not None else f"map_{from_set.name}_{to_set.name}"
+        self.values = values
         #: process-unique identity for cache keys (never reused, unlike id())
         self.token = next_token()
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @values.setter
+    def values(self, values) -> None:
+        vals = np.array(values, dtype=np.int64, order="C")  # always a private copy
+        if vals.ndim == 1:
+            vals = vals.reshape(-1, self.arity)
+        if vals.shape != (self.from_set.total_size, self.arity):
+            raise APIError(
+                f"map {self.name}: values shape {vals.shape} != "
+                f"({self.from_set.total_size}, {self.arity})"
+            )
+        if vals.size and (vals.min() < 0 or vals.max() >= self.to_set.total_size):
+            raise APIError(
+                f"map {self.name}: entries must lie in [0, {self.to_set.total_size})"
+            )
+        vals.flags.writeable = False
+        self._values = vals
 
     def __getitem__(self, idx) -> np.ndarray:
         return self.values[idx]

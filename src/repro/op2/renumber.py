@@ -53,10 +53,11 @@ def apply_permutation(
     dats: list[Dat],
     maps_to_targets: list[Map],
 ) -> None:
-    """Renumber a set in place: permute its dats, rewrite referencing maps.
+    """Renumber a set: permute its dats in place, rebind referencing maps.
 
     ``perm[new] = old``; dats listed must live on the renumbered set, maps
-    listed must *target* it.
+    listed must *target* it.  Map storage is immutable, so each map gets a
+    new ``values`` array, which invalidates every compiled loop built on it.
     """
     n = perm.shape[0]
     inverse = np.empty(n, dtype=np.int64)
@@ -68,7 +69,7 @@ def apply_permutation(
     for m in maps_to_targets:
         if m.to_set.total_size != n:
             raise APIError(f"map {m.name} does not target the renumbered set")
-        m.values[:] = inverse[m.values]
+        m.values = inverse[m.values]
 
 
 def renumber_mesh(map_: Map, dats: list[Dat], other_maps: list[Map] | None = None) -> np.ndarray:

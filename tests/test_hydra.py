@@ -112,13 +112,7 @@ class TestOptimisations:
         m = generate_hydra_mesh(12, 8)
         rng = np.random.default_rng(0)
         perm = rng.permutation(m.fine.cells.size)
-        from repro.op2.renumber import apply_permutation
-
-        cell_dats = [d for d in m.all_dats if d.set is m.fine.cells]
-        cell_dats += [m.fine.q, m.fine.qold, m.fine.adt, m.fine.res]
-        apply_permutation(perm, cell_dats, [m.fine.edge2cell, m.fine.bedge2cell])
-        m.fine2coarse.values[:] = m.fine2coarse.values[perm]
-        m.fine.cell2node.values[:] = m.fine.cell2node.values[perm]
+        m.permute_cells(perm)
 
         before = locality_score(m.fine.edge2cell)
         app = HydraApp(m)

@@ -527,6 +527,136 @@ class TestStagedGlobalInc:
             ("op2", "twice"): "global written through several arguments"}
 
 
+# ---------------------------------------------------------------------------
+# indirect writes: maps read in place, the first INC on a dat in the sweep
+# ---------------------------------------------------------------------------
+
+
+def _inc_read_target(x, a, r):
+    r[0] += x[0] * a[1]
+    r[1] += x[1] - a[0]
+
+
+def _inc_twice(x, y, r, t):
+    r[0] += x[0]
+    r[1] -= x[1] * y[0]
+    t[0] += y[1] - x[0]
+    t[1] += x[1]
+
+
+def _inc_same_component(x, y, r):
+    r[0] += x[0]
+    r[0] += y[1] * 3.0
+    r[1] -= y[0]
+
+
+def _write_and_rw(x, y, w, v):
+    w[0] = x[0] * y[1]
+    v[1] = v[0] * 0.5 + x[1]
+
+
+#: (kernel, [(dat, access, map index), ...]) with dats "x", "y" (read, on
+#: nodes) and "r", "t" (written, on nodes); ``staged`` is the expected flag
+#: of every indirect write, in argument order
+STAGING_CASES = {
+    "target_read_by_another_arg": (
+        _inc_read_target, [("x", "READ", 0), ("r", "READ", 1), ("r", "INC", 0)], [True]),
+    "two_incs_on_one_dat": (
+        _inc_twice, [("x", "READ", 0), ("y", "READ", 1), ("r", "INC", 0), ("r", "INC", 1)],
+        [False, True]),
+    "same_component_twice": (
+        _inc_same_component, [("x", "READ", 0), ("y", "READ", 1), ("r", "INC", 1)], [False]),
+    "write_and_rw": (
+        _write_and_rw, [("x", "READ", 0), ("y", "READ", 1), ("r", "WRITE", 0), ("t", "RW", 1)],
+        [True, True]),
+}
+
+
+def _run_staging(case: str, native: bool, n: int = 600, seed: int = 5):
+    """Two calls of one indirect loop over ``n`` > SCATTER_MIN edges."""
+    from repro import op2
+    from repro.op2.execplan import SCATTER_MIN
+
+    assert n >= SCATTER_MIN  # vec takes the segment scatter
+    kernel, spec, _ = STAGING_CASES[case]
+    rng = np.random.default_rng(seed)
+    nodes = op2.Set(n // 4, "nodes")
+    edges = op2.Set(n, "edges")
+    e2n = op2.Map(edges, nodes, 2, rng.integers(0, nodes.size, (n, 2)), "e2n")
+    # magnitudes over 16 decades: any reassociation of a sum shows
+    dats = {
+        name: op2.Dat(
+            nodes, 2,
+            rng.standard_normal((nodes.size, 2)) * 10.0 ** rng.integers(-8, 8, (nodes.size, 2)),
+            name=name,
+        )
+        for name in "xyrt"
+    }
+    clear_plan_caches()
+    counters = PerfCounters()
+    k = op2.Kernel(kernel, case)
+    with counters_scope(counters), swap(native=native):
+        for _ in range(2):
+            op2.par_loop(
+                k, edges,
+                *(dats[d](getattr(op2, acc), e2n, i) for d, acc, i in spec),
+                backend="vec",
+            )
+    return {name: d.data.copy() for name, d in dats.items()}, counters
+
+
+class TestIndirectStaging:
+    @requires_cc
+    @pytest.mark.parametrize("case", sorted(STAGING_CASES))
+    def test_native_equals_vec_bitwise(self, case, monkeypatch):
+        seen = []
+        generate = ncgen.generate_op2
+
+        def spy(fn, argspecs, loop_name):
+            seen.append(argspecs)
+            return generate(fn, argspecs, loop_name)
+
+        monkeypatch.setattr(ncgen, "generate_op2", spy)
+        got, counters = _run_staging(case, native=True)
+        want, _ = _run_staging(case, native=False)
+        assert counters.native_calls == 2 and not counters.native_declines
+        staged = [s[6] for s in seen[0] if s[0] == "ind" and s[2] != "READ"]
+        assert staged == STAGING_CASES[case][2]
+        for name, arr in want.items():
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+    @requires_cc
+    def test_res_calc_plan_allocates_at_most_one_stage(self):
+        """8 indirect arguments over 2 maps: no map copies, and only the
+        second ``res`` INC gets an ``(n, 4)`` stage."""
+        import tracemalloc
+
+        from repro import op2
+        from repro.apps.airfoil.kernels import K_RES_CALC
+        from repro.apps.airfoil.mesh import generate_mesh
+        from repro.native import plan as nplan
+
+        m = generate_mesh(120, 80)
+        args = [
+            m.x(op2.READ, m.edge2node, 0), m.x(op2.READ, m.edge2node, 1),
+            m.q(op2.READ, m.edge2cell, 0), m.q(op2.READ, m.edge2cell, 1),
+            m.adt(op2.READ, m.edge2cell, 0), m.adt(op2.READ, m.edge2cell, 1),
+            m.res(op2.INC, m.edge2cell, 0), m.res(op2.INC, m.edge2cell, 1),
+        ]
+        n = m.edges.size
+        with swap(native=True):
+            # warm: compile, certify and load outside the measurement
+            assert nplan.try_compile_op2(K_RES_CALC, args, n, "res_calc") is not None
+            tracemalloc.start()
+            try:
+                loop = nplan.try_compile_op2(K_RES_CALC, args, n, "res_calc")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert loop is not None
+        assert peak < n * 4 * 8 + 64 * 1024, peak
+
+
 def _summary(a, b, total, weighted, lo):
     w = a[0, 0] * b[0, 0]
     total.inc(w)
@@ -887,18 +1017,41 @@ class TestCodegen:
             ncgen.generate_ops(k, [("dat", False), ("dat", True)], 1, "sin")
 
     def test_op2_two_phase_scatter_order(self):
-        """Indirect INC: phase A computes into scratch, phase B accumulates
-        in element order — the schedule np.add.at is bitwise-equal to."""
+        """A staged indirect INC: phase A computes into scratch, phase B
+        accumulates in element order — the schedule np.add.at is
+        bitwise-equal to.  Both arguments read the one map in place."""
 
         def k(x, r):
             r[0] += x[0]
 
         code = ncgen.generate_op2(
-            k, [("ind", 1, "READ"), ("ind", 1, "INC")], "scat")
+            k, [("ind", 1, "READ", 0, 2, 0, True), ("ind", 1, "INC", 0, 2, 1, True)],
+            "scat")
         a_phase = code.source.index("S1[e * 1 + 0] = 0.0")
         b_phase = code.source.index("p1[w1 * 1 + 0] += S1[e * 1 + 0]")
         assert a_phase < b_phase
+        assert "const long long w1 = M0[e * 2 + 1];" in code.source
         assert code.scratch_spec == ((1, 1),)
+        assert code.map_spec == (("map", 0),)
+
+    def test_op2_first_inc_applied_in_sweep(self):
+        """An unstaged INC accumulates into a per-element local added to
+        its row at the end of the element: no scratch, no phase B."""
+
+        def k(x, r):
+            r[0] += x[0]
+            r[0] += x[1]
+
+        code = ncgen.generate_op2(
+            k, [("ind", 2, "READ", 0, 2, 0, True), ("ind", 1, "INC", 1, 1, 0, False)],
+            "swept")
+        assert code.scratch_spec == ()
+        assert code.map_spec == (("map", 0), ("map", 1))
+        assert "double s1[1] = {0};" in code.source
+        assert code.source.count("s1[0] +=") == 2
+        assert code.source.index("s1[0] +=") < code.source.index(
+            "p1[row1 * 1 + 0] += s1[0];")
+        assert "long long w1" not in code.source
 
     def test_cache_key_covers_source_and_flags(self):
         k1 = ncache.source_key("int x;")

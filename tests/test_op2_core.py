@@ -50,6 +50,35 @@ class TestMap:
         assert pairs.shape == (4, 2)
         assert pairs[0].tolist() == [0, 0]
 
+    def test_values_are_read_only(self):
+        a, b = op2.Set(2), op2.Set(4)
+        m = op2.Map(a, b, 2, [[0, 1], [2, 3]])
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 3
+        with pytest.raises(ValueError):
+            m.column(1)[:] = 0
+        np.testing.assert_array_equal(m.values, [[0, 1], [2, 3]])
+
+    def test_rebind_validates_bounds_and_shape(self):
+        a, b = op2.Set(2), op2.Set(4)
+        m = op2.Map(a, b, 2, [[0, 1], [2, 3]])
+        with pytest.raises(APIError):
+            m.values = [[0, 1], [2, 4]]
+        with pytest.raises(APIError):
+            m.values = [[0, 1]]
+        np.testing.assert_array_equal(m.values, [[0, 1], [2, 3]])  # unchanged
+        m.values = [[3, 2], [1, 0]]
+        assert m.values.flags["C_CONTIGUOUS"] and not m.values.flags.writeable
+
+    def test_caller_array_stays_writable_and_unaliased(self):
+        a, b = op2.Set(2), op2.Set(4)
+        arr = np.array([[0, 1], [2, 3]], dtype=np.int64)
+        m = op2.Map(a, b, 2, arr)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, m.values)
+        arr[0, 0] = 3
+        assert m.values[0, 0] == 0
+
 
 class TestDat:
     def test_allocation_zeroed(self):

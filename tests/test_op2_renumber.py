@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import op2
+from repro.common.config import swap
 from repro.op2.renumber import (
     apply_permutation,
     bandwidth,
@@ -81,3 +82,37 @@ class TestAppLevelRenumber:
         b.renumber()
         r_renum = b.run(2)
         assert r_renum == pytest.approx(r_plain, rel=1e-12)
+
+
+class TestCachedPlansFollowRenumber:
+    """A renumber between two steps must reach every cached loop site."""
+
+    @staticmethod
+    def _cell_dats(app) -> dict:
+        m = app.mesh
+        f = m.fine
+        return {
+            d.name: d.data.copy()
+            for d in (*f.all_dats, *m.all_dats)
+            if d.set is f.cells
+        }
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "vec"])
+    def test_renumber_between_steps_matches_a_cold_cache(self, native):
+        from repro.apps.hydra import HydraApp
+
+        def run(clear: bool) -> dict:
+            op2.clear_plan_cache()
+            with swap(native=native):
+                app = HydraApp(nx=40, ny=24)
+                app.iteration()
+                app.renumber()
+                if clear:
+                    op2.clear_plan_cache()
+                app.iteration()
+            return self._cell_dats(app)
+
+        cached, cold = run(False), run(True)
+        assert cached.keys() == cold.keys() and len(cold) == 10
+        for name, arr in cold.items():
+            np.testing.assert_array_equal(cached[name], arr, err_msg=name)
