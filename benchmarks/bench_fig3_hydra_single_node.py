@@ -8,7 +8,10 @@ but by less than on Airfoil (Hydra's loops achieve lower GPU efficiency).
 
 Two kinds of evidence are produced:
 * measured — the hand-coded NumPy original and the OP2 version really run
-  on this machine and their wall-clock times are compared,
+  on the benchmarking machine and their wall-clock times are compared,
+  like for like: the OP2 time is the interpreted NumPy (vec) tier, best
+  of 3 shots each; the generated-C tier's time is reported beside it,
+  not gated,
 * modelled — the measured traffic is priced on the paper's E5-2640/K40,
   with the unopt bar's locality degradation taken from the *measured*
   locality score of the scrambled vs renumbered mesh.
@@ -21,6 +24,8 @@ import pytest
 
 from _support import HYDRA_KERNEL_INFO, characters_for, emit, scale_characters
 from repro.apps.hydra import HydraApp, HydraReference, generate_hydra_mesh
+from repro.common.config import swap
+from repro.common.plancache import clear_plan_caches
 from repro.machine import NVIDIA_K40, XEON_E5_2640
 from repro.machine.spec import MachineSpec
 from repro.op2.renumber import locality_score
@@ -28,6 +33,18 @@ from repro.perfmodel import PlatformConfig, predict_chain
 
 NX, NY = 120, 80
 ITERS = 2
+SHOTS = 3
+
+
+def best_of(make) -> float:
+    """Best wall-clock of ``SHOTS`` ``make(mesh).run(ITERS)``, a fresh mesh each."""
+    times = []
+    for _ in range(SHOTS):
+        runner = make(generate_hydra_mesh(NX, NY, jitter=0.1))
+        t0 = time.perf_counter()
+        runner.run(ITERS)
+        times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 def scrambled_mesh():
@@ -59,15 +76,14 @@ def degraded(machine: MachineSpec, locality_ratio: float) -> MachineSpec:
 
 def test_fig3_hydra_bars(benchmark):
     # -- measured: Original vs OP2, same machine, same numerics ----------------
-    mesh_a = generate_hydra_mesh(NX, NY, jitter=0.1)
-    app = HydraApp(mesh_a)
-    ref = HydraReference(mesh_a)
-    t0 = time.perf_counter()
-    ref.run(ITERS)
-    t_original = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    app.run(ITERS)
-    t_op2 = time.perf_counter() - t0
+    # both are NumPy: the OP2 side runs its interpreted vec tier (plans are
+    # built under the tier they run, so the cache is emptied around it)
+    t_original = best_of(HydraReference)
+    clear_plan_caches()
+    with swap(native=False):
+        t_op2 = best_of(HydraApp)
+    clear_plan_caches()
+    t_native = best_of(HydraApp)
 
     benchmark.pedantic(lambda: HydraApp(generate_hydra_mesh(40, 24)).run(1),
                        rounds=3, iterations=1)
@@ -98,8 +114,9 @@ def test_fig3_hydra_bars(benchmark):
     }
 
     rows = [
-        f"measured wall-clock on this host: Original {t_original:.3f}s, OP2 {t_op2:.3f}s "
-        f"(ratio {t_op2 / t_original:.2f})",
+        f"measured wall-clock (best of {SHOTS}): Original {t_original:.3f}s, "
+        f"OP2 vec tier {t_op2:.3f}s (ratio {t_op2 / t_original:.2f})",
+        f"OP2 generated-C tier {t_native:.3f}s (ratio {t_native / t_original:.2f}, not gated)",
         f"measured locality ratio scrambled/renumbered: {locality_ratio:.2f}",
         "",
     ]
@@ -108,7 +125,7 @@ def test_fig3_hydra_bars(benchmark):
         "fig3_hydra_single_node",
         rows,
         data={
-            "measured_seconds": {"original": t_original, "op2": t_op2},
+            "measured_seconds": {"original": t_original, "op2": t_op2, "op2_native": t_native},
             "locality_ratio": locality_ratio,
             "predicted_seconds": bars,
         },
@@ -116,8 +133,8 @@ def test_fig3_hydra_bars(benchmark):
 
     # shapes -----------------------------------------------------------------------
     # the DSL introduces no overhead: Original == OP2 unopt by construction
-    # (identical code path through the model); the *measured* versions agree
-    # within the NumPy-substrate tolerance
+    # (identical code path through the model); the *measured* NumPy versions
+    # agree within the NumPy-substrate tolerance
     assert bars["Original (MPI)"] == bars["OP2 unopt (MPI)"]
     assert 0.4 < t_op2 / t_original < 2.5
     # partitioning + renumbering buys a significant single-node win (paper ~30%)

@@ -97,12 +97,17 @@ class PerfCounters:
     chain_misses: int = 0
     # -- native backend: compiled-kernel dispatch and the .so cache ---------------
     native_calls: int = 0
+    #: native calls whose sweep was split over more than one thread
+    native_threaded_calls: int = 0
     native_compiles: int = 0
     native_cache_hits: int = 0
     native_cache_misses: int = 0
     native_fallbacks: int = 0
     #: (domain, loop) -> why the native tier declined that site (last reason)
     native_declines: dict[tuple[str, str], str] = field(default_factory=dict)
+    #: why a process's compiled loops run on one thread (one entry per
+    #: process that found out; its loops still run compiled)
+    native_thread_declines: list[str] = field(default_factory=list)
 
     def loop(self, name: str) -> LoopRecord:
         """Return (creating if needed) the record for loop ``name``."""
@@ -156,9 +161,11 @@ class PerfCounters:
         self.lazy_tiles += int(ntiles)
         self.lazy_bytes_saved += int(bytes_saved)
 
-    def record_native_call(self) -> None:
+    def record_native_call(self, threaded: bool = False) -> None:
         """Account one loop executed through a compiled C entry point."""
         self.native_calls += 1
+        if threaded:
+            self.native_threaded_calls += 1
 
     def record_native_compile(self) -> None:
         """Account one actual C-compiler invocation (a .so cache miss pays it)."""
@@ -174,6 +181,10 @@ class PerfCounters:
         """Account one loop declined by the native tier (ran on vec instead)."""
         self.native_fallbacks += 1
         self.native_declines[(domain, loop)] = reason
+
+    def record_native_thread_decline(self, reason: str) -> None:
+        """Account the threaded tier declining for this whole process."""
+        self.native_thread_declines.append(reason)
 
     @property
     def chain_hit_rate(self) -> float:
@@ -200,12 +211,14 @@ class PerfCounters:
         for name in _SCALARS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.native_declines.update(other.native_declines)
+        self.native_thread_declines.extend(other.native_thread_declines)
 
     def reset(self) -> None:
         self.loops.clear()
         for name, zero in _SCALARS.items():
             setattr(self, name, zero)
         self.native_declines.clear()
+        self.native_thread_declines.clear()
 
     def summary_rows(self) -> list[tuple[str, int, int, int, float]]:
         """Rows of (loop, iterations, bytes, flops, seconds), insertion order."""

@@ -88,7 +88,8 @@ def timing_report(counters: PerfCounters, *, top: int | None = None) -> str:
         )
     if counters.native_calls or counters.native_fallbacks:
         lines.append(
-            f"native: {counters.native_calls} compiled-kernel calls, "
+            f"native: {counters.native_calls} compiled-kernel calls "
+            f"({counters.native_threaded_calls} threaded), "
             f"so-cache {counters.native_cache_hits}/{counters.native_cache_misses} "
             f"hit/miss ({100.0 * counters.native_cache_hit_rate:.1f}%), "
             f"{counters.native_compiles} cc runs, "
@@ -98,6 +99,8 @@ def timing_report(counters: PerfCounters, *, top: int | None = None) -> str:
         declines = sorted(counters.native_declines.items(), key=lambda kv: kv[0][::-1])
         for (domain, loop), reason in declines:
             lines.append(f"  declined {domain}:{loop}: {reason}")
+        for reason in dict.fromkeys(counters.native_thread_declines):
+            lines.append(f"  declined {reason}")
     # deferred import: repro.telemetry depends on repro.common, not vice versa
     from repro import telemetry
 

@@ -223,8 +223,7 @@ class CompiledSite:
         try:
             with Timer(rec):
                 if native is not None:
-                    counters.record_native_call()
-                    native.execute(args, ranges)
+                    counters.record_native_call(native.execute(args, ranges))
                 else:
                     self._run_vec(args, ranges)
         finally:

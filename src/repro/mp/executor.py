@@ -37,6 +37,7 @@ from repro.common.errors import RankFailedError, ReproError, WorkerDiedError
 from repro.common.profiling import active_counters, counters_scope
 from repro.mp.shm import DatArena
 from repro.mp.transport import ProcessTransport
+from repro.native.plan import single_team
 from repro.simmpi.comm import SimComm, _WorldState
 from repro.telemetry import tracer as _trace
 
@@ -112,7 +113,9 @@ def _child_main(
     )
     code = 0
     try:
-        with counters_scope(counters):
+        # native loops on one thread: the worker processes are the
+        # parallelism (and libgomp is not fork-safe)
+        with counters_scope(counters), single_team():
             result = fn(comm, *args, *extra)
             # same observation point as the thread executor: loops queued
             # lazily by the rank body must land inside the worker

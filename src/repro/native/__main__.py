@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    repro-native info             # directory, entry counts, bytes, compiler
+    repro-native info             # directory, entry counts, bytes, compiler,
+                                  # OpenMP, team size
     repro-native clear            # remove every cached object + source
     repro-native prune [--days N] # remove entries older than N days (30)
 
@@ -15,6 +16,9 @@ import argparse
 import sys
 
 from repro.native import cache as _cache
+from repro.native.plan import TEAM, team_size
+
+_OPENMP = {True: "yes", False: "no (compiled loops run on one thread)", None: "(no compiler)"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,6 +42,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sources   : {info['sources']} (.c)")
         print(f"bytes     : {info['bytes']}")
         print(f"compiler  : {info['compiler'] or '(none found)'}")
+        openmp = _cache.probe_openmp()
+        print(f"openmp    : {_OPENMP[openmp]}")
+        print(f"team size : {team_size()} (of {TEAM} CPUs this process may use)")
         print(f"loaded    : {info['loaded']} in-process")
         return 0
     if args.command == "clear":

@@ -18,6 +18,13 @@ Compilation flags pin the FP semantics the bitwise guarantee needs:
 ``-ffp-contract=off`` (GCC defaults to ``fast`` in gnu mode, which would
 fuse ``a*b+c`` into FMA and change results) and
 ``-fno-unsafe-math-optimizations``.  ``-O2`` is safe under those.
+``-fopenmp`` enables the generated ``omp parallel for`` over row or element
+blocks; the team size is a run-time argument of every call, so one object
+serves every team size and the key does not depend on it.  A compiler that
+rejects ``-fopenmp`` gets one retry without it (:data:`SERIAL_CFLAGS`, a
+key of its own): the pragma is then ignored, the kernel runs on one thread
+and the process remembers — once — that threading declined
+(:func:`take_thread_decline`).
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ __all__ = [
     "cache_clear",
     "cache_prune",
     "CFLAGS",
+    "SERIAL_CFLAGS",
+    "openmp",
+    "probe_openmp",
+    "take_thread_decline",
 ]
 
 
@@ -61,13 +72,23 @@ CFLAGS = (
     "-shared",
     "-ffp-contract=off",
     "-fno-unsafe-math-optimizations",
+    "-fopenmp",
 )
+#: the flag vector for a compiler without OpenMP: same code, one thread
+SERIAL_CFLAGS = tuple(f for f in CFLAGS if f != "-fopenmp")
+
+#: why threading declined in a process whose compiler has no OpenMP
+NO_OPENMP = "threads: no OpenMP"
 
 _SIG = "void kernel_run(double **p, const long long **m, const long long *n, double *red, const double *cv);"
 
 _lock = threading.Lock()
 _compiler: tuple[bool, str | None] = (False, None)  # (resolved, path)
 _mem: dict[str, "LoadedKernel"] = {}
+#: does the compiler take -fopenmp?  None until a compile has tried it
+_openmp: bool | None = None
+#: a "no OpenMP" finding not yet handed to take_thread_decline()
+_decline_pending = False
 
 
 def find_compiler() -> str | None:
@@ -99,10 +120,61 @@ def find_compiler() -> str | None:
 
 
 def _reset_compiler_cache() -> None:
-    """Testing hook: re-read REPRO_NATIVE_CC on next find_compiler()."""
-    global _compiler
+    """Testing hook: re-read REPRO_NATIVE_CC on next find_compiler() and
+    forget what the last compiler said about OpenMP."""
+    global _compiler, _openmp, _decline_pending
     with _lock:
         _compiler = (False, None)
+        _openmp = None
+        _decline_pending = False
+
+
+def openmp() -> bool | None:
+    """Whether compiled kernels run threaded: None until a compile tried."""
+    return _openmp
+
+
+def _flags() -> tuple:
+    return SERIAL_CFLAGS if _openmp is False else CFLAGS
+
+
+def _learn_openmp(ok: bool) -> None:
+    """Record what a compile said about ``-fopenmp``; a refusal is final."""
+    global _openmp, _decline_pending
+    with _lock:
+        if _openmp is not False:
+            _openmp = ok
+            _decline_pending = not ok
+
+
+def take_thread_decline() -> str | None:
+    """:data:`NO_OPENMP` once per process after the compiler rejected
+    ``-fopenmp``, else None — the caller books it exactly once."""
+    global _decline_pending
+    with _lock:
+        if not _decline_pending:
+            return None
+        _decline_pending = False
+        return NO_OPENMP
+
+
+def probe_openmp() -> bool | None:
+    """Settle :func:`openmp` by compiling an empty unit (None: no compiler)."""
+    if _openmp is not None:
+        return _openmp
+    cc = find_compiler()
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "probe.c")
+        with open(src, "w") as f:
+            f.write("void probe(void) {}\n")
+        proc = subprocess.run(
+            [cc, *CFLAGS, "-o", os.path.join(d, "probe.so"), src],
+            capture_output=True,
+        )
+    _learn_openmp(proc.returncode == 0)
+    return _openmp
 
 
 def cache_dir() -> str:
@@ -117,13 +189,13 @@ def cache_dir() -> str:
     return d
 
 
-def source_key(source: str) -> str:
+def source_key(source: str, flags: tuple | None = None) -> str:
     """Content hash of one translation unit under the current toolchain."""
     cc = find_compiler() or "none"
     h = hashlib.sha256()
     h.update(source.encode())
     h.update(b"\0")
-    h.update(" ".join(CFLAGS).encode())
+    h.update(" ".join(flags or _flags()).encode())
     h.update(b"\0")
     h.update(cc.encode())
     return h.hexdigest()[:32]
@@ -132,18 +204,20 @@ def source_key(source: str) -> str:
 class LoadedKernel:
     """A dlopened entry point with pre-castable argument marshalling."""
 
-    __slots__ = ("path", "_make")
+    __slots__ = ("path", "_make", "openmp")
 
-    def __init__(self, path: str, make):
+    def __init__(self, path: str, make, openmp: bool):
         self.path = path
         self._make = make
+        #: built with -fopenmp: its parallel loops honour the team size
+        self.openmp = openmp
 
     def make_call(self, p_addr: int, m_addr: int, n_addr: int, red_addr: int, cv_addr: int):
         """A zero-argument callable bound to five stable buffer addresses."""
         return self._make(p_addr, m_addr, n_addr, red_addr, cv_addr)
 
 
-def _load_so(path: str) -> LoadedKernel:
+def _load_so(path: str, openmp: bool) -> LoadedKernel:
     """dlopen ``path`` via cffi (preferred) or ctypes."""
     try:
         import cffi
@@ -163,7 +237,7 @@ def _load_so(path: str) -> LoadedKernel:
             )
             return lambda: _raw(*args)
 
-        return LoadedKernel(path, make)
+        return LoadedKernel(path, make, openmp)
     except ImportError:
         pass  # no cffi in this environment: ctypes below
     import ctypes
@@ -176,11 +250,13 @@ def _load_so(path: str) -> LoadedKernel:
     def make(pa, ma, na, ra, ca, _raw=raw):
         return lambda: _raw(pa, ma, na, ra, ca)
 
-    return LoadedKernel(path, make)
+    return LoadedKernel(path, make, openmp)
 
 
-def _compile(source: str, key: str, cc: str, directory: str) -> str:
-    """Compile ``source`` and atomically publish ``<key>.c`` + ``<key>.so``."""
+def _run_cc(source: str, cc: str, directory: str, flags: tuple) -> str:
+    """Compile ``source`` under ``flags``; atomically publish ``<key>.c`` +
+    ``<key>.so`` and return the object's path."""
+    key = source_key(source, flags)
     so_path = os.path.join(directory, f"{key}.so")
     fd, tmp_c = tempfile.mkstemp(suffix=".c", dir=directory)
     try:
@@ -188,7 +264,7 @@ def _compile(source: str, key: str, cc: str, directory: str) -> str:
             f.write(source)
         tmp_so = tmp_c[:-2] + ".so"
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp_so, tmp_c, "-lm"],
+            [cc, *flags, "-o", tmp_so, tmp_c, "-lm"],
             capture_output=True,
             text=True,
         )
@@ -204,6 +280,24 @@ def _compile(source: str, key: str, cc: str, directory: str) -> str:
         if tmp_c is not None and os.path.exists(tmp_c):
             os.unlink(tmp_c)
     return so_path
+
+
+def _compile(source: str, cc: str, directory: str) -> tuple[str, bool]:
+    """Compile ``source``: ``(object path, built with OpenMP)``."""
+    flags = _flags()
+    try:
+        path = _run_cc(source, cc, directory, flags)
+    except NativeUnavailable:
+        if flags is SERIAL_CFLAGS:
+            raise
+        # perhaps only -fopenmp was refused: the same code once more,
+        # serially; a second failure is a real one and propagates
+        path = _run_cc(source, cc, directory, SERIAL_CFLAGS)
+        _learn_openmp(False)
+        return path, False
+    if flags is CFLAGS:
+        _learn_openmp(True)
+    return path, flags is CFLAGS
 
 
 def is_cached(source: str) -> bool:
@@ -223,7 +317,8 @@ def load_kernel(source: str) -> tuple[LoadedKernel, bool]:
     Raises :class:`NativeUnavailable` when no compiler is available and
     the object is not already cached, or when compilation/loading fails.
     """
-    key = source_key(source)
+    flags = _flags()
+    key = source_key(source, flags)
     with _lock:
         hit = _mem.get(key)
     if hit is not None:
@@ -232,13 +327,14 @@ def load_kernel(source: str) -> tuple[LoadedKernel, bool]:
     directory = cache_dir()
     so_path = os.path.join(directory, f"{key}.so")
     was_cached = os.path.exists(so_path)
+    openmp = flags is CFLAGS
     if not was_cached:
         cc = find_compiler()
         if cc is None:
             raise NativeUnavailable("no C compiler available")
-        so_path = _compile(source, key, cc, directory)
+        so_path, openmp = _compile(source, cc, directory)
     try:
-        kern = _load_so(so_path)
+        kern = _load_so(so_path, openmp)
     except OSError:
         # corrupt/stale on-disk object: drop it and compile exactly once
         try:
@@ -249,10 +345,11 @@ def load_kernel(source: str) -> tuple[LoadedKernel, bool]:
         if cc is None:
             raise NativeUnavailable("cached object unloadable and no compiler")
         was_cached = False
-        so_path = _compile(source, key, cc, directory)
-        kern = _load_so(so_path)
+        so_path, openmp = _compile(source, cc, directory)
+        kern = _load_so(so_path, openmp)
     with _lock:
-        _mem[key] = kern
+        # under the key of the flags it was built with
+        _mem[os.path.basename(so_path)[:-3]] = kern
     return kern, was_cached
 
 

@@ -31,11 +31,12 @@ emitted: ``+ - * /`` (IEEE), ``sqrt`` (correctly rounded on both sides),
 ``fabs``, ``x ** 2`` (NumPy's fast scalar power lowers it to ``x*x``),
 ternary selects (``np.where`` computes both branches but selects the
 identical value), and NumPy's NaN-aware ``minimum``/``maximum``, whose C
-loop is ``(a < b || a != a) ? a : b`` — ties keep the accumulator, NaNs
-propagate from either side.  Transcendentals other than ``sqrt``
-(``exp``/``log``/``sin``…) are *declined*: NumPy's SIMD routines are not
-libm.  Everything declined raises :class:`Untranslatable` with a reason
-string that flows into the ``native.fallback`` telemetry instant.
+loop is ``(a < b || a != a) ? a : b`` — ties go to the second operand
+(``np.minimum(-0.0, 0.0)`` is ``0.0``), the first NaN met propagates.
+Transcendentals other than ``sqrt`` (``exp``/``log``/``sin``…) are
+*declined*: NumPy's SIMD routines are not libm.  Everything declined
+raises :class:`Untranslatable` with a reason string that flows into the
+``native.fallback`` telemetry instant.
 
 Scalar constants that are not part of the kernel *source* — closure
 cells, module globals, defaulted trailing parameters — are never baked
@@ -53,9 +54,16 @@ Every entry point has one fixed signature::
                     double *red, const double *cv)
 
 ``p``: data pointers (dats, scratch, globals) — ``m``: integer arrays
-(map columns / ops strides) — ``n``: iteration extents — ``red``:
-reduction cells (in: identity or current value, out: folded) — ``cv``:
-runtime scalar constants.
+(map columns / ops strides) — ``n``: iteration extents, then the team
+size — ``red``: reduction cells (in: identity or current value, out:
+folded) — ``cv``: runtime scalar constants.
+
+Threads.  ``kernel_run`` cuts the outer extent ``n[0]`` (OPS rows, OP2
+elements) into one contiguous block per team member and runs a static
+``sweep`` over each under ``#pragma omp parallel for``; a team of 1 calls
+``sweep`` once, outside any OpenMP region.  Each block folds its min/max
+registers from the identity and the blocks fold into ``red`` in block
+order, which the select's associativity makes bitwise equal to one thread.
 """
 
 from __future__ import annotations
@@ -135,6 +143,8 @@ class NativeCode:
     #: ops: the reduction argument each ``.inc()`` call folds into, in call
     #: order; sweep ``j`` (``n[ndim] == j``) fills the stage for call ``j``
     stage_args: tuple = ()
+    #: the outer sweep is split over the team size in the last ``n`` slot
+    threaded: bool = True
 
 
 # -- IR retrieval ------------------------------------------------------------
@@ -228,10 +238,16 @@ _FLOAT_FNS = (float, np.float64)
 def _np_select(keep: str, other: str, op: str) -> str:
     """NumPy's minimum/maximum C loop: ``(a OP b || a != a) ? a : b``.
 
-    The first operand wins ties and propagates its NaN; the second
-    operand's NaN also propagates (the select falls through to it).
+    The first operand's NaN propagates, else the second operand wins ties
+    and propagates its NaN (the select falls through to it).  As a fold
+    this keeps the first NaN, else the last extreme: associative bit for
+    bit, with ±inf as identity, so folds over blocks combine exactly.
     """
     return f"(({keep} {op} {other} || {keep} != {keep}) ? {keep} : {other})"
+
+
+#: the register a block's min/max fold starts from
+_IDENTITY = {"min": "INFINITY", "max": "-INFINITY"}
 
 
 def _subexprs(e) -> list:
@@ -678,7 +694,7 @@ class _OpsEmitter(_Emitter):
             t = self._fresh()
             self.emit(f"const double {t} = {self.value(a)};")
             # np.min folds rows sequentially with the NumPy select: the
-            # running register wins ties and propagates its NaN
+            # running register propagates its NaN, else the new value wins ties
             self.emit(f"r{j} = {_np_select(f'r{j}', t, op)};")
 
     def _stage_inc(self, s: SFold, b: _Bind) -> None:
@@ -719,6 +735,10 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
     ``("red", kind)`` — structure only, never values.  A kernel with
     ``.inc()`` calls takes one ``("stage", None)`` pointer slot after the
     dats and a sweep selector in ``n[ndim]`` (see ``stage_args``).
+
+    Every admitted OPS loop splits its outermost dimension over the team
+    size ``n[ndim + 1]``: admission leaves only centre-only, unaliased
+    written dats and per-point ``.inc()`` stages, so rows are independent.
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -765,29 +785,30 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
         for d in range(ndim - 1):
             decls.append(f"    const long long s{k}_{d} = m[0][{si}];")
             si += 1
-    for j in range(len(red_spec)):
-        decls.append(f"    double r{j} = red[{j}];")
-    for d in range(ndim):
+    for j, (_, _k, kind) in enumerate(red_spec):
+        decls.append(f"    double r{j} = {_IDENTITY[kind]};")
+    for d in range(1, ndim):
         decls.append(f"    const long long n{d} = n[{d}];")
 
-    nest_open = [
+    nest_open = ["    for (long long i0 = lo; i0 < hi; ++i0) {"] + [
         "    " * (d + 1) + f"for (long long i{d} = 0; i{d} < n{d}; ++i{d}) {{"
-        for d in range(ndim)
+        for d in range(1, ndim)
     ]
     local_decls = ["    " * (ndim + 1) + f"double l_{nm};" for nm in em.declared_locals()]
     body_lines = ["    " + ln for ln in em.lines]
     nest_close = ["    " * (d + 1) + "}" for d in range(ndim - 1, -1, -1)]
-    epilogue = [f"    red[{j}] = r{j};" for j in range(len(red_spec))]
+    epilogue = [f"    r[{j}] = r{j};" for j in range(len(red_spec))]
 
     source = "\n".join(
         [
             "#include <math.h>",
             "",
-            f"/* ops loop '{loop_name}': kernel '{ir.name}', {ndim}-D nest */",
-            "void kernel_run(double **p, const long long **m, const long long *n,",
-            "                double *red, const double *cv)",
+            f"/* ops loop '{loop_name}': kernel '{ir.name}', {ndim}-D nest, "
+            "rows [lo, hi) of the outer dimension */",
+            "static void sweep(double **p, const long long **m, const long long *n,",
+            "                  const double *cv, long long lo, long long hi, double *r)",
             "{",
-            "    (void)p; (void)m; (void)red; (void)cv;",
+            "    (void)p; (void)m; (void)n; (void)cv; (void)r;",
             *decls,
             *nest_open,
             *local_decls,
@@ -796,6 +817,9 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
             *epilogue,
             "}",
             "",
+            *_kernel_run(
+                "p, m, n, cv", ndim + 1, [kind for _, _k, kind in red_spec], True, []
+            ),
         ]
     )
     return NativeCode(
@@ -842,7 +866,7 @@ class _Op2Emitter(_Emitter):
 
     def _fold(self, s: SFold) -> None:
         # `t[0] = min(t[0], x)` on a MIN/MAX global: kernelvec runs it as
-        # row = np.minimum(row, x) — the row (first operand) wins ties
+        # row = np.minimum(row, x) — x (second operand) wins ties
         b = self.binds.get(s.param)
         if b is None or b.role != "gmm":
             raise Untranslatable("fold on a non-global parameter")
@@ -883,6 +907,12 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
       zeroed per element, the kernel's ``+=`` land in its row in source
       order — but nothing scatters it: the ``(n, dim)`` rows are the stage
       the plan layer hands to NumPy's own ``sum``.
+
+    Phase A splits its elements over the team size ``n[1]`` unless an
+    argument is swept: its rows are shared between elements, and
+    colouring them would reorder the float sums (restaging them would
+    bring back the scratch the in-sweep INC removed).  Phase B always
+    scatters on one thread, in element order.
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -954,11 +984,11 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             decls.append(f"    const double *g{k} = p[{j}];")
     for j in range(len(map_spec)):
         decls.append(f"    const long long *M{j} = m[{j}];")
-    decls.append("    const long long ne = n[0];")
-    for k in gmm_args:
-        b = binds[params[k]]
-        for c in range(b.dim):
-            decls.append(f"    double acc{k}_{c} = red[{_red_slot(red_spec, k, c)}];")
+    registers = [
+        f"    double acc{k}_{c} = {_IDENTITY[binds[params[k]].kind]};"
+        for k in gmm_args
+        for c in range(binds[params[k]].dim)
+    ]
 
     # phase A prologue per element: target rows, accumulators, scratch
     # init, global cells
@@ -985,10 +1015,10 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
 
     # per-element epilogue: add each swept accumulator to its row (every
     # component, as the vec scatter adds its whole zero-initialised row),
-    # then fold each global row into the running accumulator the way
-    # buf.min(axis=0) does — sequential over elements, accumulator wins
-    # ties (and g_old seeds the chain, matching the final
-    # np.minimum(g, buf.min(axis=0)) exactly)
+    # then fold each global row into the block's register the way
+    # buf.min(axis=0) does — sequential over elements, the later operand
+    # wins ties; kernel_run folds the blocks' registers onto g_old in block
+    # order, which matches the final np.minimum(g, buf.min(axis=0)) exactly
     epi: list[str] = []
     for k in swept:
         dim = binds[params[k]].dim
@@ -1000,6 +1030,11 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         for c in range(b.dim):
             acc = f"acc{k}_{c}"
             epi.append(f"        {acc} = {_np_select(acc, f'a{k}[{c}]', op)};")
+    epilogue = [
+        f"    r[{_red_slot(red_spec, k, c)}] = acc{k}_{c};"
+        for k in gmm_args
+        for c in range(binds[params[k]].dim)
+    ]
 
     local_decls = [f"        double l_{nm};" for nm in em.declared_locals()]
 
@@ -1012,40 +1047,44 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             continue  # staged for the plan layer's NumPy sum, not scattered
         b = binds[params[k]]
         assign = "+=" if b.kind == "INC" else "="
-        phase_b.append("    for (long long e = 0; e < ne; ++e) {")
+        phase_b.append("    for (long long e = 0; e < n0; ++e) {")
         phase_b.append(f"        const long long w{k} = {rows[k]};")
         for c in range(dim):
             phase_b.append(
                 f"        p{k}[w{k} * {dim} + {c}] {assign} S{k}[e * {dim} + {c}];"
             )
         phase_b.append("    }")
+    if phase_b:
+        phase_b = decls + phase_b
 
-    epilogue = [
-        f"    red[{_red_slot(red_spec, k, c)}] = acc{k}_{c};"
-        for k in gmm_args
-        for c in range(binds[params[k]].dim)
-    ]
-
+    # a swept INC adds into rows that other elements share: its sweep, and
+    # every phase-B scatter, keep the single-thread element order
+    threaded = not swept
     source = "\n".join(
         [
             "#include <math.h>",
             "",
-            f"/* op2 loop '{loop_name}': kernel '{ir.name}', two-phase */",
-            "void kernel_run(double **p, const long long **m, const long long *n,",
-            "                double *red, const double *cv)",
+            f"/* op2 loop '{loop_name}': kernel '{ir.name}', two-phase; "
+            "phase A over elements [lo, hi) */",
+            "static void sweep(double **p, const long long **m, const double *red,",
+            "                  const double *cv, long long lo, long long hi, double *r)",
             "{",
-            "    (void)p; (void)m; (void)red; (void)cv;",
+            "    (void)p; (void)m; (void)red; (void)cv; (void)r;",
             *decls,
-            "    for (long long e = 0; e < ne; ++e) {",
+            *registers,
+            "    for (long long e = lo; e < hi; ++e) {",
             *pro,
             *local_decls,
             *em.lines,
             *epi,
             "    }",
-            *phase_b,
             *epilogue,
             "}",
             "",
+            *_kernel_run(
+                "p, m, red, cv", 1,
+                [kind for *_, kind in red_spec], threaded, phase_b,
+            ),
         ]
     )
     return NativeCode(
@@ -1056,7 +1095,57 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         red_spec=tuple(red_spec),
         const_names=tuple(em.const_slots),
         scratch_spec=tuple(scratch_spec),
+        threaded=threaded,
     )
+
+
+def _kernel_run(args: str, nt_slot: int, kinds: list, threaded: bool, tail: list) -> list:
+    """The entry point: split ``sweep`` over ``n[nt_slot]`` threads, fold
+    the blocks' min/max registers into ``red`` in block order, then ``tail``.
+
+    Each block of the outer extent ``n[0]`` is a contiguous static range
+    whose registers start from the fold identity.  The select is
+    associative (NaN-first, else the later operand on ties, both
+    bit-for-bit), so folding the block registers onto ``red`` in block
+    order yields the single-thread fold's bits at any team size.  A team
+    of 1 skips the OpenMP region: even an ``if(0)`` region costs a team
+    set-up per call.
+    """
+    nred = len(kinds)
+    part = "part" if nred else "(double *)0"
+    nt = f"n[{nt_slot}]" if threaded else "1"
+    lines = [
+        "void kernel_run(double **p, const long long **m, const long long *n,",
+        "                double *red, const double *cv)",
+        "{",
+        "    (void)red;",
+        f"    const long long n0 = n[0], nt = {nt};",
+    ]
+    if nred:
+        lines.append(f"    double part[{nred} * nt];")
+    whole = f"sweep({args}, 0, n0, {part});"
+    if threaded:
+        block = f"part + t * {nred}" if nred else part
+        lines += [
+            "    if (nt > 1) {",
+            "#pragma omp parallel for num_threads(nt) schedule(static)",
+            "        for (long long t = 0; t < nt; ++t)",
+            f"            sweep({args}, n0 * t / nt, n0 * (t + 1) / nt, {block});",
+            "    } else {",
+            f"        {whole}",
+            "    }",
+        ]
+    else:
+        lines.append(f"    {whole}")
+    if nred:
+        lines.append("    for (long long t = 0; t < nt; ++t) {")
+        for j, kind in enumerate(kinds):
+            op = "<" if kind == "min" else ">"
+            lines.append(
+                f"        red[{j}] = {_np_select(f'red[{j}]', f'part[t * {nred} + {j}]', op)};"
+            )
+        lines.append("    }")
+    return [*lines, *tail, "}", ""]
 
 
 def _red_slot(red_spec: list, k: int, c: int) -> int:

@@ -34,11 +34,22 @@ The admission ladder, in order:
 5. Codegen itself (:mod:`.cgen`) declines anything without an exact C
    spelling, and the toolchain (:mod:`.cache`) declines when there is no
    compiler.
+
+Threads.  An admitted loop's outer sweep is split into contiguous blocks
+over a team whose size each call writes into the last ``n[]`` slot: the
+CPUs the process may run on (:data:`TEAM`) for a sweep of at least
+:data:`THREAD_MIN` points or elements, else 1 (:func:`team_size` says when
+it is 1 regardless).  Admission already proves the blocks independent, and
+the block-ordered min/max combine keeps every team size bitwise equal to
+one thread; op2 loops with an in-sweep INC stay on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -49,7 +60,62 @@ from repro.native import cache as _cache
 from repro.native import cgen as _cgen
 from repro.telemetry import tracer as _trace
 
-__all__ = ["NativeOpsLoop", "NativeOp2Loop", "try_compile_ops", "try_compile_op2"]
+__all__ = [
+    "NativeOpsLoop",
+    "NativeOp2Loop",
+    "try_compile_ops",
+    "try_compile_op2",
+    "THREAD_MIN",
+    "TEAM",
+    "team_size",
+    "single_team",
+]
+
+#: points (ops) or elements (op2) from which a call splits its sweep over
+#: the team; below it a team's start-up costs more than the second core
+#: saves (measured break-even: DESIGN.md, "Threads")
+THREAD_MIN = 32768
+
+#: the CPUs this process may run on (``taskset`` is the control)
+TEAM = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_rank = threading.local()  # .single: this thread runs a simulated rank
+_forked = False
+
+
+def _after_fork() -> None:
+    # libgomp is not fork-safe: a child whose parent has run a team hangs
+    # on its first multi-thread region; a team of 1 never enters one
+    global _forked
+    _forked = True
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
+
+def team_size() -> int:
+    """Threads a large native call may use from here.
+
+    :data:`TEAM`, except 1 in a forked child, in a thread running a
+    simulated rank (:func:`single_team`: the ranks are the parallelism)
+    and once the compiler has turned out to lack OpenMP.
+    """
+    if _forked or getattr(_rank, "single", False) or _cache.openmp() is False:
+        return 1
+    return TEAM
+
+
+@contextlib.contextmanager
+def single_team():
+    """Run the calling thread's native calls on one thread (a rank body)."""
+    prev = getattr(_rank, "single", False)
+    _rank.single = True
+    try:
+        yield
+    finally:
+        _rank.single = prev
 
 
 def _admit(domain: str, build, loop_name: str, *args):
@@ -97,6 +163,12 @@ def _load(source: str, loop_name: str):
         counters.record_native_compile()
         if trc is not None:
             trc.instant("native.cache_miss", "native", loop=loop_name)
+    reason = _cache.take_thread_decline()
+    if reason is not None:
+        # the loop still runs compiled, on one thread: booked once per process
+        counters.record_native_thread_decline(reason)
+        if trc is not None:
+            trc.instant("native.threads_declined", "native", reason=reason)
     return kern
 
 
@@ -140,17 +212,25 @@ class NativeOpsLoop:
     """
 
     __slots__ = (
-        "call", "red_info", "red_arr", "ranges", "ptrs", "narr",
-        "stages", "_layout", "_sub", "_keepalive",
+        "call", "red_info", "red_arr", "ranges", "ptrs", "narr", "threads",
+        "points", "stages", "_layout", "_sub", "_nt", "_keepalive",
     )
 
-    def __init__(self, call, red_info, red_arr, ranges, ptrs, narr, stages, layout, keepalive):
+    def __init__(
+        self, call, red_info, red_arr, ranges, ptrs, narr, threads, stages, layout, keepalive
+    ):
         self.call = call
         self.red_info = red_info  # [(slot, kind, arg_index), ...]
         self.red_arr = red_arr
         self.ranges = ranges
         self.ptrs = ptrs
+        #: extents, the ``.inc()`` sweep selector, the team size
         self.narr = narr
+        #: the object honours the team size (built with OpenMP)
+        self.threads = threads
+        #: points of the bound (sub-)range
+        self.points = math.prod(hi - lo for lo, hi in ranges)
+        self._nt = 1  # the team size narr holds
         #: (pointer slot, [arg_index per ``.inc()`` call, in call order]) or
         #: None.  The stage buffer lives for one execute only, like the
         #: temporaries vec sums: a plan holds no range-sized array
@@ -172,10 +252,13 @@ class NativeOpsLoop:
                 off += d * s
             for i, origin in slots:
                 ptrs[i] = origin + off
-        self.narr[:-1] = [hi - lo for lo, hi in ranges]
+        extents = [hi - lo for lo, hi in ranges]
+        self.narr[: len(extents)] = extents
+        self.points = math.prod(extents)
 
-    def execute(self, args, ranges=None) -> None:
-        """Run the kernel over ``ranges`` (default: the full admitted range).
+    def execute(self, args, ranges=None) -> bool:
+        """Run the kernel over ``ranges`` (default: the full admitted range);
+        True when the sweep was split over more than one thread.
 
         A sub-range must lie inside ``self.ranges`` — the storage-bounds
         proof covers nothing else and the C performs no checks; the owning
@@ -188,6 +271,10 @@ class NativeOpsLoop:
         elif self._sub:
             self._bind(self.ranges)
             self._sub = False
+        nt = team_size() if self.threads and self.points >= THREAD_MIN else 1
+        if nt != self._nt:
+            self.narr[-1] = nt
+            self._nt = nt
         red = self.red_arr
         info = self.red_info
         for j, kind, _k in info:
@@ -201,12 +288,12 @@ class NativeOpsLoop:
             narr = self.narr
             # dense over the swept extents: the fresh C-contiguous array
             # the vec tier would have computed and passed to ``inc``
-            buf = np.empty(tuple(narr[:-1]), dtype=np.float64)
+            buf = np.empty(tuple(narr[:-2]), dtype=np.float64)
             self.ptrs[slot] = _addr(buf)
             for j, k in enumerate(folds):
                 # sweep j stores the j-th fold's value; it re-folds the
                 # min/max registers onto themselves, which changes nothing
-                narr[-1] = j
+                narr[-2] = j
                 self.call()
                 # the same handle.inc(array) as vec: np.sum does the summing
                 args[k].inc(buf)
@@ -214,6 +301,7 @@ class NativeOpsLoop:
             handle = args[k]
             # the same handle.min(value) fold the vec path performs
             (handle.min if kind == "min" else handle.max)(red[j])
+        return nt > 1
 
 
 def try_compile_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop | None:
@@ -311,8 +399,8 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     ptrs = np.asarray(origins, dtype=np.uint64)
     sarr = np.asarray(strides, dtype=np.int64) if strides else _EMPTY_I64
     marr = np.asarray([_addr(sarr)], dtype=np.uint64)
-    # extents, then the sweep selector of staged ``.inc()`` folds
-    narr = np.asarray([*(hi - lo for lo, hi in ranges), 0], dtype=np.int64)
+    # extents, the sweep selector of staged ``.inc()`` folds, the team size
+    narr = np.asarray([*(hi - lo for lo, hi in ranges), 0, 1], dtype=np.int64)
     red_arr = (
         np.zeros(len(code.red_spec), dtype=np.float64) if code.red_spec else _EMPTY_F64
     )
@@ -323,8 +411,8 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
     red_info = [(j, kind, k) for j, (_, k, kind) in enumerate(code.red_spec)]
     keepalive = (kern, sarr, marr, cv_arr, args)
     return NativeOpsLoop(
-        call, red_info, red_arr, tuple(ranges), ptrs, narr, stages,
-        list(by_strides.items()), keepalive,
+        call, red_info, red_arr, tuple(ranges), ptrs, narr, code.threaded and kern.openmp,
+        stages, list(by_strides.items()), keepalive,
     )
 
 
@@ -333,19 +421,31 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
 class NativeOp2Loop:
     """A compiled unstructured loop bound to its storage addresses."""
 
-    __slots__ = ("call", "gmm_cells", "red_arr", "ginc", "_keepalive")
+    __slots__ = (
+        "call", "gmm_cells", "red_arr", "ginc", "n", "narr", "threads", "_nt", "_keepalive",
+    )
 
-    def __init__(self, call, gmm_cells, red_arr, ginc, keepalive):
+    def __init__(self, call, gmm_cells, red_arr, ginc, narr, threads, keepalive):
         self.call = call
         self.gmm_cells = gmm_cells  # [(slot, glob, cell), ...]
         self.red_arr = red_arr
         #: [(glob, (n, dim) stage), ...] — the per-element increment rows
         #: of each global INC argument, exactly the vec tier's buffer
         self.ginc = ginc
+        self.narr = narr  # (set size, team size)
+        self.n = int(narr[0])
+        #: phase A may be split over the team (no in-sweep INC, OpenMP build)
+        self.threads = threads
+        self._nt = 1
         self._keepalive = keepalive
 
-    def execute(self, args, ranges=None) -> None:
-        """Run the kernel over the whole admitted set (op2 has no sub-range)."""
+    def execute(self, args, ranges=None) -> bool:
+        """Run the kernel over the whole admitted set (op2 has no sub-range);
+        True when phase A was split over more than one thread."""
+        nt = team_size() if self.threads and self.n >= THREAD_MIN else 1
+        if nt != self._nt:
+            self.narr[1] = nt
+            self._nt = nt
         red = self.red_arr
         cells = self.gmm_cells
         for j, g, c in cells:
@@ -355,6 +455,7 @@ class NativeOp2Loop:
             g.data[c] = red[j]
         for g, stage in self.ginc:
             g.accumulate(stage)
+        return nt > 1
 
 
 def try_compile_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop | None:
@@ -480,7 +581,7 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     # guard drops this plan once a map rebinds its ``values``
     map_vals = [args[k].map.values for _, k in code.map_spec]
     marr = np.asarray([_addr(v) for v in map_vals], dtype=np.uint64)
-    narr = np.asarray([n], dtype=np.int64)
+    narr = np.asarray([n, 1], dtype=np.int64)
     red_arr = (
         np.zeros(len(code.red_spec), dtype=np.float64) if code.red_spec else _EMPTY_F64
     )
@@ -488,5 +589,7 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
 
     kern = _load(code.source, loop_name)
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
-    keepalive = (kern, ptrs, marr, narr, cv_arr, map_vals, scratch, args)
-    return NativeOp2Loop(call, gmm_cells, red_arr, ginc, keepalive)
+    keepalive = (kern, ptrs, marr, cv_arr, map_vals, scratch, args)
+    return NativeOp2Loop(
+        call, gmm_cells, red_arr, ginc, narr, code.threaded and kern.openmp, keepalive
+    )

@@ -22,6 +22,7 @@ from typing import Any, Callable, Sequence
 from repro.common.counters import PerfCounters
 from repro.common.errors import RankFailedError
 from repro.common.profiling import add_loop_observer, counters_scope, remove_loop_observer
+from repro.native.plan import single_team
 from repro.simmpi.comm import SimComm, ThreadTransport, _WorldState
 from repro.telemetry import tracer as _trace
 
@@ -125,7 +126,9 @@ def run_spmd(
 
     def worker(rank: int) -> None:
         try:
-            with counters_scope(world.counters[rank]):
+            # a rank thread runs its native loops on one thread: the ranks
+            # are the parallelism
+            with counters_scope(world.counters[rank]), single_team():
                 results[rank] = call(rank)
         except BaseException as exc:  # noqa: BLE001 - reraised below
             errors.append((rank, exc))

@@ -14,6 +14,7 @@ native .so cache is raced by concurrent compiling processes.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
@@ -49,6 +50,7 @@ from repro.mp import (
     snapshot,
 )
 from repro.native import cache as ncache
+from repro.native import plan as nplan
 from repro.resilience.jobs import AirfoilJob
 from repro.simmpi import run_spmd
 from repro.simmpi.comm import ANY, DeadlockError
@@ -760,6 +762,74 @@ void kernel_run(double **p, const long long **m, const long long *n,
     for (long long i = 0; i < n[0]; ++i) p[0][i] = sqrt(p[1][i]) + %d.0;
 }
 """
+
+
+class TestThreadedParentFork:
+    @requires_cc
+    def test_workers_forked_after_a_threaded_loop(self, monkeypatch):
+        """libgomp is not fork-safe: a child whose parent has run a 2-thread
+        team hangs in its first 2-thread region.  Workers run teams of 1, so
+        forking after threaded native loops finishes, bitwise, unthreaded."""
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+
+        monkeypatch.setattr(nplan, "THREAD_MIN", 0)
+        monkeypatch.setattr(nplan, "TEAM", 2)
+        mine = PerfCounters()
+        with counters_scope(mine), swap(native=True):
+            AirfoilApp(generate_mesh(12, 8, jitter=0.1)).run(1)
+        assert mine.native_threaded_calls > 0  # the parent ran 2-thread teams
+
+        def run(spmd, world=None):
+            clear_plan_caches()
+            mesh = generate_mesh(12, 8, jitter=0.1)
+            app = AirfoilApp(mesh)
+            pm = app.build_partitioned(2, "block")
+
+            def main(comm):
+                rms = app.run_distributed(comm, pm, 2)
+                return rms, pm.local(comm.rank).gather_dat(comm, mesh.q)
+
+            with swap(native=True), _deadline(60.0) as on_start:
+                kw = {} if world is None else {"world": world, "on_start": on_start}
+                rms, q = spmd(2, main, **kw)[0]
+            return {"q": q, "rms": np.asarray([rms])}
+
+        world = MpWorld(2)
+        forked = run(run_spmd_mp, world)
+        inproc = run(run_spmd)
+        for name in inproc:
+            assert np.array_equal(forked[name], inproc[name]), name
+        for rank in range(2):
+            assert world.counters[rank].native_calls > 0
+            assert world.counters[rank].native_threaded_calls == 0
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """An ``on_start`` hook that SIGKILLs the workers still alive after
+    ``seconds`` — a hang fails the run (WorkerDiedError) instead of stalling
+    the suite; leaving the block disarms it."""
+    timers = []
+
+    def arm(pids):
+        def fire():
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+        timer = threading.Timer(seconds, fire)
+        timer.daemon = True
+        timers.append(timer)
+        timer.start()
+
+    try:
+        yield arm
+    finally:
+        for timer in timers:
+            timer.cancel()
 
 
 class TestNativeCacheConcurrency:

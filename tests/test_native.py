@@ -10,6 +10,8 @@ compiler, corrupt cached object, untranslatable kernel, ``REPRO_NATIVE=0``
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
 
@@ -25,6 +27,7 @@ from repro.common.profiling import counters_scope
 from repro.common.report import timing_report
 from repro.native import cache as ncache
 from repro.native import cgen as ncgen
+from repro.native import plan as nplan
 from repro.simmpi import run_spmd
 from repro.verify import diff_backends
 
@@ -817,6 +820,215 @@ class TestBundledAppsFullyNative:
 
 
 # ---------------------------------------------------------------------------
+# threads: every team size gives the single-thread bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def threads_everywhere(monkeypatch):
+    """Split every native sweep, however small (the bundled test meshes are
+    far below ``THREAD_MIN``); yields a setter for the team size."""
+    monkeypatch.setattr(nplan, "THREAD_MIN", 0)
+    return lambda team: monkeypatch.setattr(nplan, "TEAM", team)
+
+
+def _at_teams(threads_everywhere, run):
+    """``run()`` at teams 1 and 2 from empty plan caches: (states, counters)."""
+    states, counters = [], []
+    for team in (1, 2):
+        threads_everywhere(team)
+        clear_plan_caches()
+        c = PerfCounters()
+        with counters_scope(c), swap(native=True):
+            states.append(run())
+        counters.append(c)
+    return states, counters
+
+
+def _assert_bitwise(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for name in a:
+        x, y = np.asarray(a[name]), np.asarray(b[name])
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x.view(np.uint8), y.view(np.uint8)), name
+
+
+def _op2_state(mesh, *globs) -> dict:
+    from repro import op2
+
+    out = {n: d.data.copy() for n, d in vars(mesh).items() if isinstance(d, op2.Dat)}
+    out.update({g.name: g.data.copy() for g in globs})
+    return out
+
+
+class TestThreadCountInvariance:
+    """Teams of 1 and 2 on every bundled app the battery covers: each dat
+    and global bitwise, and the team of 2 really split its sweeps."""
+
+    def _check(self, threads_everywhere, run, *, serial_loops=()):
+        (one, two), (c1, c2) = _at_teams(threads_everywhere, run)
+        _assert_bitwise(one, two)
+        assert c1.native_calls == c2.native_calls > 0
+        assert c1.native_threaded_calls == 0
+        # op2 loops with an in-sweep INC stay on one thread
+        serial = sum(c2.loops[n].invocations for n in serial_loops if n in c2.loops)
+        assert c2.native_threaded_calls == c2.native_calls - serial > 0
+        assert not c2.native_declines and not c2.native_thread_declines
+
+    @requires_cc
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_cloverleaf(self, threads_everywhere, lazy):
+        from repro.apps.cloverleaf import CloverLeafApp
+
+        def run():
+            with swap(lazy=lazy, lazy_tile=(8, 8) if lazy else None):
+                app = CloverLeafApp(nx=24, ny=20, backend="vec")
+                summary = app.run(3)
+                out = {d.name: d.data.copy() for d in app.st.all_dats}
+            out.update({k: np.asarray([v]) for k, v in summary.items()})
+            return out
+
+        self._check(threads_everywhere, run)
+
+    @requires_cc
+    def test_airfoil(self, threads_everywhere):
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+
+        def run():
+            app = AirfoilApp(generate_mesh(16, 12, jitter=0.1), backend="vec")
+            app.run(3)
+            return _op2_state(app.mesh, app.rms)
+
+        self._check(threads_everywhere, run, serial_loops=("res_calc", "bres_calc"))
+
+    @requires_cc
+    def test_hydra(self, threads_everywhere):
+        from repro.apps.hydra import HydraApp, generate_hydra_mesh
+
+        def run():
+            app = HydraApp(generate_hydra_mesh(16, 12, jitter=0.1))
+            app.run(3)
+            return _op2_state(app.mesh, app.rms, app.alpha)
+
+        (one, two), (c1, c2) = _at_teams(threads_everywhere, run)
+        _assert_bitwise(one, two)
+        assert 0 < c2.native_threaded_calls < c2.native_calls == c1.native_calls
+        assert c1.native_threaded_calls == 0 and not c2.native_declines
+
+
+def _nan(payload: int) -> float:
+    """A quiet NaN carrying ``payload``: tells which NaN a fold kept."""
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0])
+
+
+#: the extreme planted in the first and in the second half of a sweep (the
+#: two blocks of a team of 2); the blocks' registers then differ in bits,
+#: so folding them out of order would show
+_PLANTS = {
+    "zero_ties": (-0.0, 0.0),
+    "zero_ties_reversed": (0.0, -0.0),
+    "nans": (_nan(1), _nan(2)),
+    "nan_second_block": (0.0, _nan(3)),
+}
+
+
+def _planted(n: int, case: str, fill: float) -> np.ndarray:
+    """``fill`` (1.0 under a min, -1.0 under a max) with the case's pair."""
+    x = np.full(n, fill)
+    x[1], x[n // 2 + 1] = _PLANTS[case]
+    return x
+
+
+def _bits(v) -> int:
+    return int(np.asarray(v, dtype=np.float64).view(np.uint64))
+
+
+class TestThreadedMinMax:
+    """The block registers fold in block order: ±0 ties and NaN payloads
+    come out as the single-thread sweep's, wherever they sit."""
+
+    @requires_cc
+    @pytest.mark.parametrize("case", sorted(_PLANTS))
+    def test_ops_reduction(self, threads_everywhere, case):
+        def fold(a, b, lo, hi):
+            lo.min(a[0, 0])
+            hi.max(b[0, 0])
+
+        def run():
+            blk = ops.Block(2)
+            u = ops.Dat(blk, (10, 3), halo_depth=1, name="u")
+            w = ops.Dat(blk, (10, 3), halo_depth=1, name="w")
+            u.interior[...] = _planted(10, case, 1.0)[:, None]
+            w.interior[...] = _planted(10, case, -1.0)[:, None]
+            lo, hi = ops.Reduction("min"), ops.Reduction("max")
+            ops.par_loop(fold, blk, [(0, 10), (0, 3)], u(ops.READ), w(ops.READ), lo, hi,
+                         backend="vec")
+            return {"lo": np.asarray([lo.value]), "hi": np.asarray([hi.value])}
+
+        (one, two), (_, c2) = _at_teams(threads_everywhere, run)
+        _assert_bitwise(one, two)
+        assert c2.native_threaded_calls == 1
+        clear_plan_caches()
+        with swap(native=False):
+            vec = run()
+        np.testing.assert_array_equal(one["lo"], vec["lo"])
+        np.testing.assert_array_equal(one["hi"], vec["hi"])
+
+    @requires_cc
+    @pytest.mark.parametrize("case", sorted(_PLANTS))
+    @pytest.mark.parametrize("kind", ["MIN", "MAX"])
+    def test_op2_global(self, threads_everywhere, case, kind):
+        from repro import op2
+
+        def fold_min(x, g):
+            g[0] = min(g[0], x[0])
+
+        def fold_max(x, g):
+            g[0] = max(g[0], x[0])
+
+        kernel = op2.Kernel(fold_min if kind == "MIN" else fold_max)
+
+        def run():
+            cells = op2.Set(40, "cells")
+            x = op2.Dat(cells, 1, _planted(40, case, 1.0 if kind == "MIN" else -1.0), name="x")
+            g = op2.Global(1, 0.5 if kind == "MIN" else -0.5, name="g")
+            op2.par_loop(kernel, cells, x(op2.READ), g(getattr(op2, kind)))
+            return {"g": g.data.copy()}
+
+        (one, two), (_, c2) = _at_teams(threads_everywhere, run)
+        _assert_bitwise(one, two)
+        assert c2.native_threaded_calls == 1
+        clear_plan_caches()
+        with swap(native=False):
+            vec = run()
+        np.testing.assert_array_equal(one["g"], vec["g"])
+
+    def test_block_fold_matches_sequential_fold(self):
+        """The combine's algebra on its own: the NumPy select is
+        associative bit for bit, so any split folds like the whole."""
+        rng = np.random.default_rng(7)
+        pool = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, _nan(5), _nan(6), 0.5]
+
+        def sel(a, b):  # the C select of cgen._np_select, for "<"
+            return a if (a < b or a != a) else b
+
+        for _ in range(200):
+            xs = [pool[i] for i in rng.integers(0, len(pool), rng.integers(1, 9))]
+            whole = np.inf
+            for x in xs:
+                whole = sel(whole, x)
+            for cut in range(len(xs) + 1):
+                parts = []
+                for block in (xs[:cut], xs[cut:]):
+                    r = np.inf
+                    for x in block:
+                        r = sel(r, x)
+                    parts.append(r)
+                assert _bits(sel(sel(np.inf, parts[0]), parts[1])) == _bits(whole)
+
+
+# ---------------------------------------------------------------------------
 # graceful degradation: every refusal path falls back to identical results
 # ---------------------------------------------------------------------------
 
@@ -865,6 +1077,55 @@ class TestDegradation:
                  if isinstance(e, telemetry.InstantEvent) and e.name == "native.fallback"]
         assert len(falls) == 1
         assert falls[0].attrs["reason"] == "no C compiler available"
+
+    @requires_cc
+    def test_compiler_without_openmp_runs_compiled_on_one_thread(
+        self, tmp_path, monkeypatch, threads_everywhere
+    ):
+        """A compiler that rejects -fopenmp: every loop still runs compiled
+        and bitwise, on teams of 1, with one explained decline per process."""
+        wrapper = tmp_path / "cc-no-openmp"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do\n'
+            '  [ "$a" = -fopenmp ] && { echo "unsupported: $a" >&2; exit 1; }\n'
+            "done\n"
+            f'exec {ncache.find_compiler()} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_NATIVE_CC", str(wrapper))
+        ncache._reset_compiler_cache()
+        threads_everywhere(2)
+
+        from repro.apps.cloverleaf import CloverLeafApp
+
+        def run():
+            app = CloverLeafApp(nx=12, ny=10, backend="vec")
+            app.run(2)
+            return {d.name: d.data.copy() for d in app.st.all_dats}
+
+        counters = PerfCounters()
+        with counters_scope(counters), swap(native=True), telemetry.tracing() as trc:
+            with_native = run()
+        assert nplan.team_size() == 1 and ncache.openmp() is False
+        assert counters.native_calls > 0 and counters.native_threaded_calls == 0
+        assert counters.native_declines == {} and counters.native_fallbacks == 0
+        assert counters.native_thread_declines == ["threads: no OpenMP"]
+        assert "  declined threads: no OpenMP" in timing_report(counters).splitlines()
+        assert [e.attrs["reason"] for e in trc.events()
+                if isinstance(e, telemetry.InstantEvent)
+                and e.name == "native.threads_declined"] == ["threads: no OpenMP"]
+        clear_plan_caches()
+        with swap(native=False):
+            _assert_bitwise(with_native, run())
+
+        import repro.native.__main__ as cli
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["info"]) == 0
+        assert "openmp    : no" in out.getvalue()
+        assert "team size : 1" in out.getvalue()
 
     @staticmethod
     def _plant_corrupt_object(source):
@@ -1173,3 +1434,4 @@ class TestNativeCli:
         )
         assert out.returncode == 0
         assert "cache dir" in out.stdout
+        assert "openmp    :" in out.stdout and "team size :" in out.stdout
