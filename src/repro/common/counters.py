@@ -105,8 +105,9 @@ class PerfCounters:
     native_fallbacks: int = 0
     #: (domain, loop) -> why the native tier declined that site (last reason)
     native_declines: dict[tuple[str, str], str] = field(default_factory=dict)
-    #: why a process's compiled loops run on one thread (one entry per
-    #: process that found out; its loops still run compiled)
+    #: why compiled loops run on one thread: a process without OpenMP
+    #: (one entry per process that found out) and each op2 loop the owner
+    #: rule cannot split (``"loop: threads: why"``); they still run compiled
     native_thread_declines: list[str] = field(default_factory=list)
 
     def loop(self, name: str) -> LoopRecord:
@@ -183,8 +184,10 @@ class PerfCounters:
         self.native_declines[(domain, loop)] = reason
 
     def record_native_thread_decline(self, reason: str) -> None:
-        """Account the threaded tier declining for this whole process."""
-        self.native_thread_declines.append(reason)
+        """Account the threaded tier declining for this process or a loop
+        (once: a rebuilt plan re-declines for the same reason)."""
+        if reason not in self.native_thread_declines:
+            self.native_thread_declines.append(reason)
 
     @property
     def chain_hit_rate(self) -> float:

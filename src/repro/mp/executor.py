@@ -23,6 +23,7 @@ resilient driver to classify.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as _mp
 import os
 import signal
@@ -82,6 +83,29 @@ class MpWorld:
         os.kill(pid, sig)
 
 
+#: prctl(2) option: the signal a process receives when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """SIGKILL this worker when ``parent`` (the forking process) dies.
+
+    ``daemon=True`` reaps workers only on a clean parent exit; a killed
+    parent would leave them running as orphans.  Linux arms a parent-death
+    signal; the ``getppid`` check closes the window in which the parent
+    died before the signal was armed (the worker is already reparented).
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            ctypes.CDLL(None, use_errno=True).prctl(
+                _PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0
+            )
+        except (OSError, AttributeError):
+            pass
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _child_main(
     rank: int,
     fn: Callable[..., Any],
@@ -90,9 +114,12 @@ def _child_main(
     world: MpWorld,
     result_conn,
     trace_dir: str | None,
+    parent: int,
 ) -> None:
     """Rank body wrapper executed inside the forked worker."""
     from repro.ops import lazy as _ops_lazy
+
+    _die_with_parent(parent)
 
     counters = PerfCounters()
     if trace_dir is not None:
@@ -225,7 +252,7 @@ def run_spmd_mp(
             extra = tuple(rank_args[rank]) if rank_args is not None else ()
             proc = ctx.Process(
                 target=_child_main,
-                args=(rank, fn, args, extra, world, writers[rank], trace_dir),
+                args=(rank, fn, args, extra, world, writers[rank], trace_dir, os.getpid()),
                 name=f"repro-mp-rank-{rank}",
                 daemon=True,
             )

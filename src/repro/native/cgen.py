@@ -55,15 +55,20 @@ Every entry point has one fixed signature::
 
 ``p``: data pointers (dats, scratch, globals) — ``m``: integer arrays
 (map columns / ops strides) — ``n``: iteration extents, then the team
-size — ``red``: reduction cells (in: identity or current value, out:
-folded) — ``cv``: runtime scalar constants.
+size (op2: then the row counts the owner rule cuts) — ``red``: reduction
+cells (in: identity or current value, out: folded) — ``cv``: runtime
+scalar constants.
 
-Threads.  ``kernel_run`` cuts the outer extent ``n[0]`` (OPS rows, OP2
-elements) into one contiguous block per team member and runs a static
-``sweep`` over each under ``#pragma omp parallel for``; a team of 1 calls
-``sweep`` once, outside any OpenMP region.  Each block folds its min/max
-registers from the identity and the blocks fold into ``red`` in block
-order, which the select's associativity makes bitwise equal to one thread.
+Threads.  ``kernel_run`` cuts an extent into one contiguous block per
+team member and runs a static ``sweep`` over each under ``#pragma omp
+parallel for``; a team of 1 calls ``sweep`` once, outside any OpenMP
+region.  The extent is ``n[0]`` (OPS rows, OP2 elements), or — for an OP2
+loop with an in-sweep INC — the rows of that INC's dat, each thread
+computing the elements whose row it owns; OP2 phase B splits every
+scatter by ownership of its rows the same way.  Each block folds its
+min/max registers from the identity and the blocks fold into ``red`` in
+block order, which the select's associativity makes bitwise equal to one
+thread.
 """
 
 from __future__ import annotations
@@ -143,8 +148,18 @@ class NativeCode:
     #: ops: the reduction argument each ``.inc()`` call folds into, in call
     #: order; sweep ``j`` (``n[ndim] == j``) fills the stage for call ``j``
     stage_args: tuple = ()
-    #: the outer sweep is split over the team size in the last ``n`` slot
-    threaded: bool = True
+    #: why every team size runs this loop on one thread (op2 loops the
+    #: owner rule cannot split), or None: it splits over the team size in
+    #: ``n[1]`` (op2) or the last ``n`` slot (ops)
+    serial_reason: str | None = None
+    #: op2: the argument whose dat's row count ``n[2 + j]`` holds — the
+    #: swept INC whose rows split phase A (first, when it does), then each
+    #: phase-B scatter; written once at plan build
+    row_args: tuple = ()
+
+    @property
+    def threaded(self) -> bool:
+        return self.serial_reason is None
 
 
 # -- IR retrieval ------------------------------------------------------------
@@ -817,9 +832,7 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
             *epilogue,
             "}",
             "",
-            *_kernel_run(
-                "p, m, n, cv", ndim + 1, [kind for _, _k, kind in red_spec], True, []
-            ),
+            *_kernel_run("p, m, n, cv", ndim + 1, [kind for _, _k, kind in red_spec], True),
         ]
     )
     return NativeCode(
@@ -908,11 +921,20 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
       order — but nothing scatters it: the ``(n, dim)`` rows are the stage
       the plan layer hands to NumPy's own ``sum``.
 
-    Phase A splits its elements over the team size ``n[1]`` unless an
-    argument is swept: its rows are shared between elements, and
-    colouring them would reorder the float sums (restaging them would
-    bring back the scratch the in-sweep INC removed).  Phase B always
-    scatters on one thread, in element order.
+    Threads (team size ``n[1]``; ``n[2:]`` hold the row counts of
+    ``row_args``).  Without a swept argument, phase A splits its elements
+    into contiguous blocks.  With one, it splits by *ownership*: thread
+    ``t`` owns rows ``[R·t/nt, R·(t+1)/nt)`` of the swept dat, walks every
+    element in order and skips, before any other load, each element whose
+    swept row it does not own — so every element is computed once, and
+    every row receives its in-sweep adds in element order, the serial
+    association.  Phase B splits each scatter the same way over the rows
+    of its own dat.  Swept INCs through one map entry share the owner
+    (one row index per element).  Two loops stay on one thread
+    (``serial_reason``): swept INCs through different map entries (one
+    partition cannot serve two owners) and a swept INC beside a MIN/MAX
+    global (the fold would follow ownership, not contiguous element
+    blocks).
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -974,6 +996,19 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
     em._depth = 2
     em.body(ir.body)
 
+    # the owner rule: a swept INC's rows split phase A — each thread walks
+    # every element and computes those whose swept row it owns; swept INCs
+    # through one map entry target one row index, so they share the owner
+    serial = None
+    if len({rows[k] for k in swept}) > 1:
+        serial = "threads: in-sweep INCs through different map entries"
+    elif swept and gmm_args:
+        serial = "threads: MIN/MAX global with in-sweep INC"
+    owner = swept[0] if swept and serial is None else None
+    # a ginc stage is summed by the plan layer's NumPy call, not scattered
+    scatters = [k for k, _ in scratch_spec if argspecs[k][0] != "ginc"]
+    row_args = ([owner] if owner is not None else []) + scatters
+
     decls: list[str] = []
     for j, (role, k) in enumerate(ptr_spec):
         if role == "dat":
@@ -990,9 +1025,14 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         for c in range(binds[params[k]].dim)
     ]
 
-    # phase A prologue per element: target rows, accumulators, scratch
-    # init, global cells
-    pro: list[str] = [f"        const long long row{k} = {r};" for k, r in rows.items()]
+    # phase A prologue per element: target rows (the owned row first: an
+    # element another thread owns is skipped before any other load),
+    # accumulators, scratch init, global cells
+    pro: list[str] = []
+    if owner is not None:
+        pro.append(f"        const long long row{owner} = {rows[owner]};")
+        pro.append(f"        if (row{owner} < lo || row{owner} >= hi) continue;")
+    pro += [f"        const long long row{k} = {r};" for k, r in rows.items() if k != owner]
     for k in swept:
         pro.append(f"        double s{k}[{binds[params[k]].dim}] = {{0}};")
     for k, dim in scratch_spec:
@@ -1040,39 +1080,56 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
 
     # phase B: staged scatters replayed in argument order (np.add.at
     # element order for INC; fancy-assign last-writer-wins element order
-    # otherwise)
+    # otherwise), each over the slice of its dat's rows thread t owns —
+    # every row still sees all its writes in the serial order
     phase_b: list[str] = []
-    for k, dim in scratch_spec:
-        if argspecs[k][0] == "ginc":
-            continue  # staged for the plan layer's NumPy sum, not scattered
-        b = binds[params[k]]
-        assign = "+=" if b.kind == "INC" else "="
-        phase_b.append("    for (long long e = 0; e < n0; ++e) {")
-        phase_b.append(f"        const long long w{k} = {rows[k]};")
-        for c in range(dim):
-            phase_b.append(
+    for k in scatters:
+        slot = 2 + row_args.index(k)
+        dim = binds[params[k]].dim
+        assign = "+=" if binds[params[k]].kind == "INC" else "="
+        phase_b += [
+            f"    const long long lo{k} = n[{slot}] * t / nt, hi{k} = n[{slot}] * (t + 1) / nt;",
+            "    for (long long e = 0; e < n0; ++e) {",
+            f"        const long long w{k} = {rows[k]};",
+            f"        if (w{k} < lo{k} || w{k} >= hi{k}) continue;",
+            *(
                 f"        p{k}[w{k} * {dim} + {c}] {assign} S{k}[e * {dim} + {c}];"
-            )
-        phase_b.append("    }")
+                for c in range(dim)
+            ),
+            "    }",
+        ]
     if phase_b:
-        phase_b = decls + phase_b
+        phase_b = [
+            "/* phase B: thread t of nt applies the rows it owns */",
+            "static void scatter(double **p, const long long **m, const long long *n,",
+            "                    long long t, long long nt)",
+            "{",
+            *decls,
+            "    const long long n0 = n[0];",
+            *phase_b,
+            "}",
+            "",
+        ]
 
-    # a swept INC adds into rows that other elements share: its sweep, and
-    # every phase-B scatter, keep the single-thread element order
-    threaded = not swept
+    if owner is not None:
+        head = "phase A over all elements, computing those whose swept row is in [lo, hi)"
+        loop = "    for (long long e = 0, ne = n[0]; e < ne; ++e) {"
+    else:
+        head = "phase A over elements [lo, hi)"
+        loop = "    for (long long e = lo; e < hi; ++e) {"
     source = "\n".join(
         [
             "#include <math.h>",
             "",
-            f"/* op2 loop '{loop_name}': kernel '{ir.name}', two-phase; "
-            "phase A over elements [lo, hi) */",
-            "static void sweep(double **p, const long long **m, const double *red,",
-            "                  const double *cv, long long lo, long long hi, double *r)",
+            f"/* op2 loop '{loop_name}': kernel '{ir.name}', two-phase; {head} */",
+            "static void sweep(double **p, const long long **m, const long long *n,",
+            "                  const double *red, const double *cv, long long lo, long long hi,",
+            "                  double *r)",
             "{",
-            "    (void)p; (void)m; (void)red; (void)cv; (void)r;",
+            "    (void)p; (void)m; (void)n; (void)red; (void)cv; (void)r;",
             *decls,
             *registers,
-            "    for (long long e = lo; e < hi; ++e) {",
+            loop,
             *pro,
             *local_decls,
             *em.lines,
@@ -1081,9 +1138,10 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
             *epilogue,
             "}",
             "",
+            *phase_b,
             *_kernel_run(
-                "p, m, red, cv", 1,
-                [kind for *_, kind in red_spec], threaded, phase_b,
+                "p, m, n, red, cv", 1, [kind for *_, kind in red_spec], serial is None,
+                extent="n0" if owner is None else "n[2]", scatter=bool(phase_b),
             ),
         ]
     )
@@ -1095,21 +1153,44 @@ def generate_op2(fn, argspecs, loop_name: str) -> NativeCode:
         red_spec=tuple(red_spec),
         const_names=tuple(em.const_slots),
         scratch_spec=tuple(scratch_spec),
-        threaded=threaded,
+        serial_reason=serial,
+        row_args=tuple(row_args),
     )
 
 
-def _kernel_run(args: str, nt_slot: int, kinds: list, threaded: bool, tail: list) -> list:
-    """The entry point: split ``sweep`` over ``n[nt_slot]`` threads, fold
-    the blocks' min/max registers into ``red`` in block order, then ``tail``.
+def _team(threaded: bool, split: str, whole: str) -> list:
+    """``split`` once per thread ``t`` under an OpenMP team of ``nt``, or
+    ``whole`` outside any region when ``nt`` is 1 (even an ``if(0)``
+    region costs a team set-up per call)."""
+    if not threaded:
+        return [f"    {whole}"]
+    return [
+        "    if (nt > 1) {",
+        "#pragma omp parallel for num_threads(nt) schedule(static)",
+        "        for (long long t = 0; t < nt; ++t)",
+        f"            {split}",
+        "    } else {",
+        f"        {whole}",
+        "    }",
+    ]
 
-    Each block of the outer extent ``n[0]`` is a contiguous static range
-    whose registers start from the fold identity.  The select is
+
+def _kernel_run(
+    args: str, nt_slot: int, kinds: list, threaded: bool, *,
+    extent: str = "n0", scatter: bool = False,
+) -> list:
+    """The entry point: split ``sweep`` over ``n[nt_slot]`` threads, fold
+    the blocks' min/max registers into ``red`` in block order, then run
+    the op2 phase-B ``scatter`` over the same team.
+
+    Thread ``t`` sweeps the contiguous static block ``[E·t/nt,
+    E·(t+1)/nt)`` of ``extent`` E: the outer extent ``n[0]`` (OPS rows,
+    OP2 elements) or, under the op2 owner rule, the swept dat's rows.
+    Each block's registers start from the fold identity.  The select is
     associative (NaN-first, else the later operand on ties, both
     bit-for-bit), so folding the block registers onto ``red`` in block
-    order yields the single-thread fold's bits at any team size.  A team
-    of 1 skips the OpenMP region: even an ``if(0)`` region costs a team
-    set-up per call.
+    order yields the single-thread fold's bits at any team size.  The end
+    of the sweep's region is the barrier before the scatter's.
     """
     nred = len(kinds)
     part = "part" if nred else "(double *)0"
@@ -1123,20 +1204,12 @@ def _kernel_run(args: str, nt_slot: int, kinds: list, threaded: bool, tail: list
     ]
     if nred:
         lines.append(f"    double part[{nred} * nt];")
-    whole = f"sweep({args}, 0, n0, {part});"
-    if threaded:
-        block = f"part + t * {nred}" if nred else part
-        lines += [
-            "    if (nt > 1) {",
-            "#pragma omp parallel for num_threads(nt) schedule(static)",
-            "        for (long long t = 0; t < nt; ++t)",
-            f"            sweep({args}, n0 * t / nt, n0 * (t + 1) / nt, {block});",
-            "    } else {",
-            f"        {whole}",
-            "    }",
-        ]
-    else:
-        lines.append(f"    {whole}")
+    block = f"part + t * {nred}" if nred else part
+    lines += _team(
+        threaded,
+        f"sweep({args}, {extent} * t / nt, {extent} * (t + 1) / nt, {block});",
+        f"sweep({args}, 0, {extent}, {part});",
+    )
     if nred:
         lines.append("    for (long long t = 0; t < nt; ++t) {")
         for j, kind in enumerate(kinds):
@@ -1145,7 +1218,9 @@ def _kernel_run(args: str, nt_slot: int, kinds: list, threaded: bool, tail: list
                 f"        red[{j}] = {_np_select(f'red[{j}]', f'part[t * {nred} + {j}]', op)};"
             )
         lines.append("    }")
-    return [*lines, *tail, "}", ""]
+    if scatter:
+        lines += _team(threaded, "scatter(p, m, n, t, nt);", "scatter(p, m, n, 0, 1);")
+    return [*lines, "}", ""]
 
 
 def _red_slot(red_spec: list, k: int, c: int) -> int:

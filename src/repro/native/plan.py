@@ -35,13 +35,17 @@ The admission ladder, in order:
    spelling, and the toolchain (:mod:`.cache`) declines when there is no
    compiler.
 
-Threads.  An admitted loop's outer sweep is split into contiguous blocks
-over a team whose size each call writes into the last ``n[]`` slot: the
-CPUs the process may run on (:data:`TEAM`) for a sweep of at least
-:data:`THREAD_MIN` points or elements, else 1 (:func:`team_size` says when
-it is 1 regardless).  Admission already proves the blocks independent, and
-the block-ordered min/max combine keeps every team size bitwise equal to
-one thread; op2 loops with an in-sweep INC stay on one thread.
+Threads.  An admitted loop's outer sweep is split over a team whose size
+each call writes into its ``n[]`` team slot: the CPUs the process may run
+on (:data:`TEAM`) for a sweep of at least :data:`THREAD_MIN` points or
+elements, else 1 (:func:`team_size` says when it is 1 regardless).  OPS
+rows and op2 elements split into contiguous blocks, which admission proves
+independent; an op2 loop with an in-sweep INC, and every phase-B scatter,
+splits by ownership of target rows, whose counts the plan writes into the
+following ``n[]`` slots once.  The block-ordered min/max combine and the
+owner rule keep every team size bitwise equal to one thread.  An op2 loop
+the owner rule cannot split runs on one thread and books its reason once
+(:meth:`~repro.common.counters.PerfCounters.record_native_thread_decline`).
 """
 
 from __future__ import annotations
@@ -166,10 +170,17 @@ def _load(source: str, loop_name: str):
     reason = _cache.take_thread_decline()
     if reason is not None:
         # the loop still runs compiled, on one thread: booked once per process
-        counters.record_native_thread_decline(reason)
-        if trc is not None:
-            trc.instant("native.threads_declined", "native", reason=reason)
+        _decline_threads(reason)
     return kern
+
+
+def _decline_threads(reason: str) -> None:
+    """Book why compiled loops run on one thread: a counter entry and one
+    ``native.threads_declined`` instant."""
+    active_counters().record_native_thread_decline(reason)
+    trc = _trace.ACTIVE
+    if trc is not None:
+        trc.instant("native.threads_declined", "native", reason=reason)
 
 
 def _const_values(fn, code: "_cgen.NativeCode", ir) -> np.ndarray:
@@ -432,16 +443,17 @@ class NativeOp2Loop:
         #: [(glob, (n, dim) stage), ...] — the per-element increment rows
         #: of each global INC argument, exactly the vec tier's buffer
         self.ginc = ginc
-        self.narr = narr  # (set size, team size)
+        self.narr = narr  # (set size, team size, row counts of code.row_args)
         self.n = int(narr[0])
-        #: phase A may be split over the team (no in-sweep INC, OpenMP build)
+        #: the call may be split over the team (the owner rule applies,
+        #: OpenMP build)
         self.threads = threads
         self._nt = 1
         self._keepalive = keepalive
 
     def execute(self, args, ranges=None) -> bool:
         """Run the kernel over the whole admitted set (op2 has no sub-range);
-        True when phase A was split over more than one thread."""
+        True when the call was split over more than one thread."""
         nt = team_size() if self.threads and self.n >= THREAD_MIN else 1
         if nt != self._nt:
             self.narr[1] = nt
@@ -581,13 +593,18 @@ def _build_op2(kernel, args, n: int, loop_name: str) -> NativeOp2Loop:
     # guard drops this plan once a map rebinds its ``values``
     map_vals = [args[k].map.values for _, k in code.map_spec]
     marr = np.asarray([_addr(v) for v in map_vals], dtype=np.uint64)
-    narr = np.asarray([n, 1], dtype=np.int64)
+    # set size, team size, then the row counts the owner rule cuts
+    narr = np.asarray(
+        [n, 1, *(args[k].dat.data.shape[0] for k in code.row_args)], dtype=np.int64
+    )
     red_arr = (
         np.zeros(len(code.red_spec), dtype=np.float64) if code.red_spec else _EMPTY_F64
     )
     cv_arr = cv if cv.size else _EMPTY_F64
 
     kern = _load(code.source, loop_name)
+    if kern.openmp and not code.threaded:
+        _decline_threads(f"{loop_name}: {code.serial_reason}")
     call = kern.make_call(_addr(ptrs), _addr(marr), _addr(narr), _addr(red_arr), _addr(cv_arr))
     keepalive = (kern, ptrs, marr, cv_arr, map_vals, scratch, args)
     return NativeOp2Loop(

@@ -64,15 +64,19 @@ class Reduction:
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'inc'")
         self.value += float(np.sum(v))
 
+    # min/max fold like np.minimum/np.maximum (the native tier's C select):
+    # the first NaN met is kept, and a tie goes to the later operand — the
+    # builtins would drop a NaN (``min(inf, nan)`` is ``inf``)
+
     def min(self, v) -> None:
         if self.kind != "min":
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'min'")
-        self.value = min(self.value, float(np.min(v)))
+        self.value = float(np.minimum(self.value, np.min(v)))
 
     def max(self, v) -> None:
         if self.kind != "max":
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'max'")
-        self.value = max(self.value, float(np.max(v)))
+        self.value = float(np.maximum(self.value, np.max(v)))
 
     # -- runtime-facing -----------------------------------------------------------
 

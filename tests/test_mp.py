@@ -18,7 +18,10 @@ import contextlib
 import glob
 import json
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -830,6 +833,62 @@ def _deadline(seconds: float):
     finally:
         for timer in timers:
             timer.cancel()
+
+
+#: a parent whose two workers hang; it prints their pids once forked
+_HANGING_PARENT = """
+import time
+from repro.mp import run_spmd_mp
+
+def hang(comm):
+    while True:
+        time.sleep(0.05)
+
+run_spmd_mp(2, hang, on_start=lambda pids: print(*pids, flush=True))
+"""
+
+
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie (an exited orphan awaiting init)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux-only")
+class TestParentDeath:
+    def test_workers_die_with_a_killed_parent(self):
+        """``daemon=True`` reaps workers only on a clean exit: a SIGKILLed
+        parent's hanging workers must still be gone within 10 s."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _HANGING_PARENT], stdout=subprocess.PIPE, env=env,
+        )
+        pids: list[int] = []
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "the workers never started"
+            pids = [int(p) for p in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+            parent.kill()
+            parent.wait(10.0)
+            deadline = time.monotonic() + 10.0
+            while any(_running(p) for p in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_running(p) for p in pids)
+        finally:
+            parent.kill()
+            parent.wait(10.0)
+            parent.stdout.close()
+            for pid in pids:  # never leave an orphan behind a failed run
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestNativeCacheConcurrency:

@@ -575,7 +575,12 @@ STAGING_CASES = {
 }
 
 
-def _run_staging(case: str, native: bool, n: int = 600, seed: int = 5):
+#: which node rows the edges of :func:`_run_staging` target, as fractions
+#: of the rows: all of them, or a third that one thread owns at teams 2, 3
+TARGETS = {"all": (0, 3), "first_third": (0, 1), "last_third": (2, 3)}
+
+
+def _run_staging(case: str, native: bool, n: int = 600, seed: int = 5, targets: str = "all"):
     """Two calls of one indirect loop over ``n`` > SCATTER_MIN edges."""
     from repro import op2
     from repro.op2.execplan import SCATTER_MIN
@@ -585,7 +590,8 @@ def _run_staging(case: str, native: bool, n: int = 600, seed: int = 5):
     rng = np.random.default_rng(seed)
     nodes = op2.Set(n // 4, "nodes")
     edges = op2.Set(n, "edges")
-    e2n = op2.Map(edges, nodes, 2, rng.integers(0, nodes.size, (n, 2)), "e2n")
+    lo, hi = (nodes.size * t // 3 for t in TARGETS[targets])
+    e2n = op2.Map(edges, nodes, 2, rng.integers(lo, hi, (n, 2)), "e2n")
     # magnitudes over 16 decades: any reassociation of a sum shows
     dats = {
         name: op2.Dat(
@@ -832,10 +838,10 @@ def threads_everywhere(monkeypatch):
     return lambda team: monkeypatch.setattr(nplan, "TEAM", team)
 
 
-def _at_teams(threads_everywhere, run):
-    """``run()`` at teams 1 and 2 from empty plan caches: (states, counters)."""
+def _at_teams(threads_everywhere, run, teams=(1, 2)):
+    """``run()`` at each team size from empty plan caches: (states, counters)."""
     states, counters = [], []
-    for team in (1, 2):
+    for team in teams:
         threads_everywhere(team)
         clear_plan_caches()
         c = PerfCounters()
@@ -870,7 +876,7 @@ class TestThreadCountInvariance:
         _assert_bitwise(one, two)
         assert c1.native_calls == c2.native_calls > 0
         assert c1.native_threaded_calls == 0
-        # op2 loops with an in-sweep INC stay on one thread
+        # op2 loops the owner rule cannot split stay on one thread
         serial = sum(c2.loops[n].invocations for n in serial_loops if n in c2.loops)
         assert c2.native_threaded_calls == c2.native_calls - serial > 0
         assert not c2.native_declines and not c2.native_thread_declines
@@ -900,7 +906,8 @@ class TestThreadCountInvariance:
             app.run(3)
             return _op2_state(app.mesh, app.rms)
 
-        self._check(threads_everywhere, run, serial_loops=("res_calc", "bres_calc"))
+        # res_calc and bres_calc split by ownership of their swept res rows
+        self._check(threads_everywhere, run)
 
     @requires_cc
     def test_hydra(self, threads_everywhere):
@@ -911,10 +918,111 @@ class TestThreadCountInvariance:
             app.run(3)
             return _op2_state(app.mesh, app.rms, app.alpha)
 
+        # h_mg_restrict's two swept INCs go through one map entry: one owner
+        self._check(threads_everywhere, run)
+
+
+class TestOwnerRule:
+    """Swept-INC loops and phase-B scatters split by ownership of target
+    rows: teams 1, 2 and 3 (an odd team catches an off-by-one in the
+    ``R·t/nt`` cuts) bitwise on every dat and global."""
+
+    TEAMS = (1, 2, 3)
+
+    @requires_cc
+    def test_airfoil_with_permuted_edges(self, threads_everywhere):
+        """Edges in random order: ownership interleaves element by element."""
+        from repro.apps.airfoil.app import AirfoilApp
+        from repro.apps.airfoil.mesh import generate_mesh
+
+        def run():
+            mesh = generate_mesh(16, 12, jitter=0.1)
+            perm = np.random.default_rng(3).permutation(mesh.edges.size)
+            mesh.edge2node.values = mesh.edge2node.values[perm]
+            mesh.edge2cell.values = mesh.edge2cell.values[perm]
+            app = AirfoilApp(mesh, backend="vec")
+            app.run(3)
+            return _op2_state(app.mesh, app.rms)
+
+        states, (c1, *split) = _at_teams(threads_everywhere, run, self.TEAMS)
+        for state in states[1:]:
+            _assert_bitwise(states[0], state)
+        assert c1.native_threaded_calls == 0 < c1.native_calls
+        for c in split:
+            assert c.native_threaded_calls == c.native_calls == c1.native_calls
+            assert not c.native_declines and not c.native_thread_declines
+
+    @requires_cc
+    @pytest.mark.parametrize("targets", sorted(TARGETS))
+    @pytest.mark.parametrize("case", sorted(STAGING_CASES))
+    def test_staging_cases_equal_vec(self, threads_everywhere, case, targets):
+        """Swept and staged INCs, WRITE and RW scatters, with edges spread
+        over all rows or skewed onto one thread's rows: native equals vec
+        bitwise at every team size."""
+        want, _ = _run_staging(case, native=False, targets=targets)
+        for team in self.TEAMS:
+            threads_everywhere(team)
+            got, c = _run_staging(case, native=True, targets=targets)
+            assert c.native_calls == 2 and not c.native_thread_declines
+            assert c.native_threaded_calls == (2 if team > 1 else 0)
+            _assert_bitwise(want, got)
+
+
+def _swept_and_min(x, r, g):
+    r[0] += x[0]
+    g[0] = min(g[0], x[0])
+
+
+def _swept_twice(x, r, t):
+    r[0] += x[0]
+    t[0] += x[0] * 3.0
+
+
+#: loops the owner rule cannot split: (kernel, access per argument after
+#: ``x``, map index per indirect argument, the recorded reason)
+SERIAL_CASES = {
+    "min_global": (_swept_and_min, ("INC", "MIN"), (0,),
+                   "threads: MIN/MAX global with in-sweep INC"),
+    "two_map_entries": (_swept_twice, ("INC", "INC"), (0, 1),
+                        "threads: in-sweep INCs through different map entries"),
+}
+
+
+class TestOwnerRuleDeclines:
+    """The two loops that stay on one thread, each with its one reason in
+    the counters and the ``native:`` footer."""
+
+    @requires_cc
+    @pytest.mark.parametrize("case", sorted(SERIAL_CASES))
+    def test_stays_on_one_thread_with_reason(self, threads_everywhere, case):
+        from repro import op2
+
+        kernel, accs, idxs, reason = SERIAL_CASES[case]
+        k = op2.Kernel(kernel, case)
+
+        def run():
+            rng = np.random.default_rng(11)
+            nodes = op2.Set(50, "nodes")
+            edges = op2.Set(400, "edges")
+            e2n = op2.Map(edges, nodes, 2, rng.integers(0, 50, (400, 2)), "e2n")
+            x = op2.Dat(edges, 1, rng.standard_normal(400) * 1e6, name="x")
+            r = op2.Dat(nodes, 1, rng.standard_normal(50), name="r")
+            t = op2.Dat(nodes, 1, rng.standard_normal(50), name="t")
+            g = op2.Global(1, 0.5, name="g")
+            written = (r(op2.INC, e2n, idxs[0]),
+                       g(op2.MIN) if accs[1] == "MIN" else t(op2.INC, e2n, idxs[1]))
+            for _ in range(2):
+                op2.par_loop(k, edges, x(op2.READ), *written, backend="vec")
+            return {"r": r.data.copy(), "t": t.data.copy(), "g": g.data.copy()}
+
         (one, two), (c1, c2) = _at_teams(threads_everywhere, run)
         _assert_bitwise(one, two)
-        assert 0 < c2.native_threaded_calls < c2.native_calls == c1.native_calls
-        assert c1.native_threaded_calls == 0 and not c2.native_declines
+        assert c2.native_calls == 2 and c2.native_threaded_calls == 0
+        assert c2.native_thread_declines == [f"{case}: {reason}"]
+        assert f"  declined {case}: {reason}" in timing_report(c2).splitlines()
+        clear_plan_caches()
+        with swap(native=False):
+            _assert_bitwise(one, run())
 
 
 def _nan(payload: int) -> float:
@@ -1026,6 +1134,59 @@ class TestThreadedMinMax:
                         r = sel(r, x)
                     parts.append(r)
                 assert _bits(sel(sel(np.inf, parts[0]), parts[1])) == _bits(whole)
+
+
+class TestReductionFold:
+    """``ops.Reduction`` min/max fold like ``np.minimum``/``np.maximum``,
+    the native C select: a NaN propagates, and a ±0 tie ends on the same
+    bits on seq, vec and native (the later operand wins)."""
+
+    @staticmethod
+    def _run(case: str, backend: str, native: bool) -> dict:
+        def fold(a, b, lo, hi):
+            lo.min(a[0, 0])
+            hi.max(b[0, 0])
+
+        clear_plan_caches()
+        c = PerfCounters()
+        with counters_scope(c), swap(native=native):
+            blk = ops.Block(2)
+            u = ops.Dat(blk, (10, 3), halo_depth=1, name="u")
+            w = ops.Dat(blk, (10, 3), halo_depth=1, name="w")
+            u.interior[...] = _planted(10, case, 1.0)[:, None]
+            w.interior[...] = _planted(10, case, -1.0)[:, None]
+            lo, hi = ops.Reduction("min"), ops.Reduction("max")
+            ops.par_loop(fold, blk, [(0, 10), (0, 3)], u(ops.READ), w(ops.READ), lo, hi,
+                         backend=backend)
+        assert c.native_calls == int(native)
+        return {"lo": lo.value, "hi": hi.value}
+
+    def test_nan_is_kept_by_later_folds(self):
+        red = ops.Reduction("min")
+        red.min(np.array([3.0, np.nan, 1.0]))
+        red.min(np.array([0.5]))
+        assert np.isnan(red.value)
+        red = ops.Reduction("max", initial=np.nan)
+        red.max(7.0)
+        assert np.isnan(red.value)
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["nans", "nan_second_block"])
+    def test_nan_propagates_on_every_tier(self, case):
+        for backend, native in (("seq", False), ("vec", False), ("vec", True)):
+            got = self._run(case, backend, native)
+            assert np.isnan(got["lo"]) and np.isnan(got["hi"]), (backend, native)
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["zero_ties", "zero_ties_reversed"])
+    def test_signed_zero_ties_same_bits_on_every_tier(self, case):
+        want = self._run(case, "seq", False)
+        # the later of the two zeros wins, as np.minimum(-0.0, 0.0) is 0.0
+        assert _bits(want["lo"]) == _bits(_PLANTS[case][1])
+        for backend, native in (("vec", False), ("vec", True)):
+            got = self._run(case, backend, native)
+            assert _bits(got["lo"]) == _bits(want["lo"]), (backend, native)
+            assert _bits(got["hi"]) == _bits(want["hi"]), (backend, native)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,9 +1439,11 @@ class TestCodegen:
             ncgen.generate_ops(k, [("dat", False), ("dat", True)], 1, "sin")
 
     def test_op2_two_phase_scatter_order(self):
-        """A staged indirect INC: phase A computes into scratch, phase B
-        accumulates in element order — the schedule np.add.at is
-        bitwise-equal to.  Both arguments read the one map in place."""
+        """A staged indirect INC: phase A computes into scratch; phase B, a
+        ``scatter`` run after the sweep's region by the same team,
+        accumulates in element order into the rows thread t owns — per
+        row, the schedule np.add.at is bitwise-equal to.  Both arguments
+        read the one map in place."""
 
         def k(x, r):
             r[0] += x[0]
@@ -1288,9 +1451,15 @@ class TestCodegen:
         code = ncgen.generate_op2(
             k, [("ind", 1, "READ", 0, 2, 0, True), ("ind", 1, "INC", 0, 2, 1, True)],
             "scat")
-        a_phase = code.source.index("S1[e * 1 + 0] = 0.0")
-        b_phase = code.source.index("p1[w1 * 1 + 0] += S1[e * 1 + 0]")
-        assert a_phase < b_phase
+        src = code.source
+        a_phase = src.index("S1[e * 1 + 0] = 0.0")
+        b_cut = src.index("const long long lo1 = n[2] * t / nt, hi1 = n[2] * (t + 1) / nt;")
+        b_guard = src.index("if (w1 < lo1 || w1 >= hi1) continue;")
+        b_phase = src.index("p1[w1 * 1 + 0] += S1[e * 1 + 0]")
+        sweeps = src.index("sweep(p, m, n, red, cv, n0 * t / nt, n0 * (t + 1) / nt,")
+        assert a_phase < b_cut < b_guard < b_phase < sweeps < src.index(
+            "scatter(p, m, n, t, nt);")
+        assert code.row_args == (1,) and code.threaded
         assert "const long long w1 = M0[e * 2 + 1];" in code.source
         assert code.scratch_spec == ((1, 1),)
         assert code.map_spec == (("map", 0),)
@@ -1308,6 +1477,12 @@ class TestCodegen:
             "swept")
         assert code.scratch_spec == ()
         assert code.map_spec == (("map", 0), ("map", 1))
+        # the owner rule: the swept row is loaded and checked before any
+        # other load, and the sweep's cuts are that dat's rows n[2]
+        assert code.row_args == (1,) and code.threaded
+        assert code.source.index("if (row1 < lo || row1 >= hi) continue;") < (
+            code.source.index("const long long row0 ="))
+        assert "n[2] * t / nt, n[2] * (t + 1) / nt" in code.source
         assert "double s1[1] = {0};" in code.source
         assert code.source.count("s1[0] +=") == 2
         assert code.source.index("s1[0] +=") < code.source.index(
