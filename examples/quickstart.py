@@ -28,7 +28,10 @@ def exchange(t_left, t_right, f_left, f_right):
 
 k_exchange = op2.Kernel(exchange, "exchange", flops_per_elem=3)
 
-op2.par_loop(
+# a loop site that runs many times binds itself once: op2.loop validates
+# the arguments here and returns a handle that replays the compiled plan
+# (op2.par_loop(k_exchange, edges, ...) is the same call, unbound)
+exchange_loop = op2.loop(
     k_exchange,
     edges,
     temperature(op2.READ, edge2node, 0),
@@ -36,6 +39,7 @@ op2.par_loop(
     flux(op2.INC, edge2node, 0),
     flux(op2.INC, edge2node, 1),
 )
+exchange_loop()
 print("OP2 nodal fluxes:", flux.data[:, 0])
 
 # the translator generated a vectorised kernel behind the scenes:

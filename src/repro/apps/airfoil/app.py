@@ -44,60 +44,71 @@ class AirfoilApp:
         self.mesh = mesh if mesh is not None else generate_mesh(nx, ny, jitter=jitter)
         self.backend = backend
         self.rms = op2.Global(1, 0.0, name="rms")
+        self._sites: tuple | None = None  # iteration()'s op2.loop handles
 
     # -- one outer iteration, serial ------------------------------------------------
 
     def iteration(self) -> None:
-        m = self.mesh
-        be = self.backend
-        op2.par_loop(K_SAVE_SOLN, m.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be)
+        """One outer iteration; its five loop sites are bound on first use."""
+        if self._sites is None:
+            m = self.mesh
+            be = self.backend
+            self._sites = (
+                op2.loop(K_SAVE_SOLN, m.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be),
+                op2.loop(
+                    K_ADT_CALC,
+                    m.cells,
+                    m.x(op2.READ, m.cell2node, 0),
+                    m.x(op2.READ, m.cell2node, 1),
+                    m.x(op2.READ, m.cell2node, 2),
+                    m.x(op2.READ, m.cell2node, 3),
+                    m.q(op2.READ),
+                    m.adt(op2.WRITE),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_RES_CALC,
+                    m.edges,
+                    m.x(op2.READ, m.edge2node, 0),
+                    m.x(op2.READ, m.edge2node, 1),
+                    m.q(op2.READ, m.edge2cell, 0),
+                    m.q(op2.READ, m.edge2cell, 1),
+                    m.adt(op2.READ, m.edge2cell, 0),
+                    m.adt(op2.READ, m.edge2cell, 1),
+                    m.res(op2.INC, m.edge2cell, 0),
+                    m.res(op2.INC, m.edge2cell, 1),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_BRES_CALC,
+                    m.bedges,
+                    m.x(op2.READ, m.bedge2node, 0),
+                    m.x(op2.READ, m.bedge2node, 1),
+                    m.q(op2.READ, m.bedge2cell, 0),
+                    m.adt(op2.READ, m.bedge2cell, 0),
+                    m.res(op2.INC, m.bedge2cell, 0),
+                    m.bound(op2.READ),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_UPDATE,
+                    m.cells,
+                    m.qold(op2.READ),
+                    m.q(op2.WRITE),
+                    m.res(op2.RW),
+                    m.adt(op2.READ),
+                    self.rms(op2.INC),
+                    backend=be,
+                ),
+            )
+        save_soln, adt_calc, res_calc, bres_calc, update = self._sites
+        save_soln()
         for _ in range(self.RK_STEPS):
-            op2.par_loop(
-                K_ADT_CALC,
-                m.cells,
-                m.x(op2.READ, m.cell2node, 0),
-                m.x(op2.READ, m.cell2node, 1),
-                m.x(op2.READ, m.cell2node, 2),
-                m.x(op2.READ, m.cell2node, 3),
-                m.q(op2.READ),
-                m.adt(op2.WRITE),
-                backend=be,
-            )
-            op2.par_loop(
-                K_RES_CALC,
-                m.edges,
-                m.x(op2.READ, m.edge2node, 0),
-                m.x(op2.READ, m.edge2node, 1),
-                m.q(op2.READ, m.edge2cell, 0),
-                m.q(op2.READ, m.edge2cell, 1),
-                m.adt(op2.READ, m.edge2cell, 0),
-                m.adt(op2.READ, m.edge2cell, 1),
-                m.res(op2.INC, m.edge2cell, 0),
-                m.res(op2.INC, m.edge2cell, 1),
-                backend=be,
-            )
-            op2.par_loop(
-                K_BRES_CALC,
-                m.bedges,
-                m.x(op2.READ, m.bedge2node, 0),
-                m.x(op2.READ, m.bedge2node, 1),
-                m.q(op2.READ, m.bedge2cell, 0),
-                m.adt(op2.READ, m.bedge2cell, 0),
-                m.res(op2.INC, m.bedge2cell, 0),
-                m.bound(op2.READ),
-                backend=be,
-            )
+            adt_calc()
+            res_calc()
+            bres_calc()
             self.rms.data[:] = 0.0
-            op2.par_loop(
-                K_UPDATE,
-                m.cells,
-                m.qold(op2.READ),
-                m.q(op2.WRITE),
-                m.res(op2.RW),
-                m.adt(op2.READ),
-                self.rms(op2.INC),
-                backend=be,
-            )
+            update()
 
     def run(self, iterations: int) -> float:
         """Run ``iterations`` outer iterations; returns the final RMS residual."""

@@ -6,6 +6,10 @@ acceleration, PdV corrector, volume fluxes, donor-cell advection of cell
 quantities and momentum (x then y sweep), field reset.  Boundary
 conditions are reflective free-slip, applied into the ghost layers before
 the kernels that read them.
+
+The serial app binds each loop site once, as an ``ops.loop`` handle, the
+first time a step reaches it, and replays it on every later step; the five
+sites whose kernels capture ``dt`` are rebound whenever ``dt`` changes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from repro.apps.cloverleaf.state import (
 )
 
 
+#: sites whose kernel closures capture ``dt``: rebound when it changes
+DT_SITES = ("pdv_predict", "accelerate", "pdv_correct", "flux_calc_x", "flux_calc_y")
+
+
 class CloverLeafApp:
     """CloverLeaf 2D written against the OPS API."""
 
@@ -32,13 +40,26 @@ class CloverLeafApp:
                  backend: str = "vec"):
         self.st = state if state is not None else clover_bm_state(nx, ny)
         self.backend = backend
-        self.dt = DT_INIT
+        self._sites: dict = {}  # bound loop sites by key, see _site()
+        self._dt = DT_INIT
         self.step_count = 0
+
+    @property
+    def dt(self) -> float:
+        return self._dt
+
+    @dt.setter
+    def dt(self, value: float) -> None:
+        if value != self._dt:
+            for key in DT_SITES:
+                self._sites.pop(key, None)
+        self._dt = value
 
     # -- helpers --------------------------------------------------------------------
 
-    def _loop(self, kernel, ranges, *args, name: str, flops: int = 0) -> None:
-        ops.par_loop(
+    def _loop(self, kernel, ranges, *args, name: str, flops: int = 0):
+        """The loop over ``ranges`` of the block, as a callable site."""
+        return ops.loop(
             kernel,
             self.st.block,
             ranges,
@@ -47,6 +68,18 @@ class CloverLeafApp:
             name=name,
             flops_per_point=flops,
         )
+
+    def _site(self, key, bind):
+        """The loop site ``key``, bound by ``bind()`` on first use.
+
+        ``bind`` is a lambda around one ``_loop`` call, so a replayed step
+        builds no arguments at all.  Each variant of a call (sweep
+        direction, velocity component, first sweep) has its own key.
+        """
+        site = self._sites.get(key)
+        if site is None:
+            site = self._sites[key] = bind()
+        return site
 
     def _apply_bcs(self, fields: list[str], depth: int = 2) -> None:
         """Reflective boundaries; overridden edge-aware in the MPI variant."""
@@ -60,7 +93,7 @@ class CloverLeafApp:
         nx, ny = st.nx, st.ny
         cells = [(0, nx), (0, ny)]
         self._apply_bcs(["density0", "energy0", "xvel0", "yvel0"])
-        self._loop(
+        self._site("ideal_gas", lambda: self._loop(
             K.ideal_gas_kernel,
             cells,
             st.density0(ops.READ),
@@ -69,8 +102,8 @@ class CloverLeafApp:
             st.soundspeed(ops.WRITE),
             name="ideal_gas",
             flops=5,
-        )
-        self._loop(
+        ))()
+        self._site("viscosity", lambda: self._loop(
             K.make_viscosity_kernel(st.dx, st.dy),
             cells,
             st.xvel0(ops.READ, K.S_NODE4),
@@ -79,10 +112,10 @@ class CloverLeafApp:
             st.viscosity(ops.WRITE),
             name="viscosity",
             flops=20,
-        )
+        ))()
         self._apply_bcs(["pressure", "viscosity"])
         dt_min = ops.Reduction("min", name="dt_min")
-        self._loop(
+        self._site("calc_dt", lambda: self._loop(
             K.make_calc_dt_kernel(st.dx, st.dy),
             cells,
             st.density0(ops.READ),
@@ -93,7 +126,7 @@ class CloverLeafApp:
             dt_min,
             name="calc_dt",
             flops=25,
-        )
+        ))(dt_min)
         self.dt = float(min(dt_min.value, DT_MAX))
         return self.dt
 
@@ -103,7 +136,7 @@ class CloverLeafApp:
         nx, ny = st.nx, st.ny
         cells = [(0, nx), (0, ny)]
         nodes = [(0, nx + 1), (0, ny + 1)]
-        self._loop(
+        self._site("pdv_predict", lambda: self._loop(
             K.make_pdv_kernel(self.dt, st.dx, st.dy, corrector=False),
             cells,
             st.xvel0(ops.READ, K.S_NODE4),
@@ -116,8 +149,8 @@ class CloverLeafApp:
             st.energy1(ops.WRITE),
             name="pdv_predict",
             flops=25,
-        )
-        self._loop(
+        ))()
+        self._site("ideal_gas_half", lambda: self._loop(
             K.ideal_gas_kernel,
             cells,
             st.density1(ops.READ),
@@ -126,8 +159,8 @@ class CloverLeafApp:
             st.soundspeed(ops.WRITE),
             name="ideal_gas",
             flops=5,
-        )
-        self._loop(
+        ))()
+        self._site("revert", lambda: self._loop(
             K.revert_kernel,
             cells,
             st.density0(ops.READ),
@@ -136,9 +169,9 @@ class CloverLeafApp:
             st.energy1(ops.WRITE),
             name="revert",
             flops=0,
-        )
+        ))()
         self._apply_bcs(["pressure", "viscosity", "density0"])
-        self._loop(
+        self._site("accelerate", lambda: self._loop(
             K.make_accelerate_kernel(self.dt, st.dx, st.dy),
             nodes,
             st.density0(ops.READ, K.S_CELL4),
@@ -150,9 +183,9 @@ class CloverLeafApp:
             st.yvel1(ops.WRITE),
             name="accelerate",
             flops=30,
-        )
+        ))()
         self._apply_bcs(["xvel1", "yvel1"])
-        self._loop(
+        self._site("pdv_correct", lambda: self._loop(
             K.make_pdv_kernel(self.dt, st.dx, st.dy, corrector=True),
             cells,
             st.xvel0(ops.READ, K.S_NODE4),
@@ -167,7 +200,7 @@ class CloverLeafApp:
             st.energy1(ops.WRITE),
             name="pdv_correct",
             flops=35,
-        )
+        ))()
 
     def advection(self) -> None:
         """Volume fluxes and donor-cell advection (direction-split sweeps).
@@ -178,7 +211,7 @@ class CloverLeafApp:
         st = self.st
         nx, ny = st.nx, st.ny
         cells = [(0, nx), (0, ny)]
-        self._loop(
+        self._site("flux_calc_x", lambda: self._loop(
             K.make_flux_calc_x_kernel(self.dt, st.dy),
             [(0, nx + 1), (0, ny)],
             st.xvel0(ops.READ, K.S_FACE_Y),
@@ -186,8 +219,8 @@ class CloverLeafApp:
             st.vol_flux_x(ops.WRITE),
             name="flux_calc_x",
             flops=5,
-        )
-        self._loop(
+        ))()
+        self._site("flux_calc_y", lambda: self._loop(
             K.make_flux_calc_y_kernel(self.dt, st.dx),
             [(0, nx), (0, ny + 1)],
             st.yvel0(ops.READ, K.S_FACE_X),
@@ -195,13 +228,13 @@ class CloverLeafApp:
             st.vol_flux_y(ops.WRITE),
             name="flux_calc_y",
             flops=5,
-        )
+        ))()
         order = ("x", "y") if self.step_count % 2 == 0 else ("y", "x")
         for i, direction in enumerate(order):
             first = i == 0
             self._apply_bcs(["density1", "energy1"])
             if direction == "x":
-                self._loop(
+                self._site("mass_ener_flux_x", lambda: self._loop(
                     K.mass_ener_flux_x_kernel,
                     [(0, nx + 1), (0, ny)],
                     st.vol_flux_x(ops.READ),
@@ -211,8 +244,8 @@ class CloverLeafApp:
                     st.ener_flux_x(ops.WRITE),
                     name="mass_ener_flux_x",
                     flops=6,
-                )
-                self._loop(
+                ))()
+                self._site(("advec_cell_x", first), lambda: self._loop(
                     K.make_advec_cell_x_kernel(st.dx, st.dy, first=first),
                     cells,
                     st.vol_flux_x(ops.READ, K.S_FACE_X),
@@ -223,9 +256,9 @@ class CloverLeafApp:
                     st.energy1(ops.RW),
                     name="advec_cell_x",
                     flops=14,
-                )
+                ))()
             else:
-                self._loop(
+                self._site("mass_ener_flux_y", lambda: self._loop(
                     K.mass_ener_flux_y_kernel,
                     [(0, nx), (0, ny + 1)],
                     st.vol_flux_y(ops.READ),
@@ -235,8 +268,8 @@ class CloverLeafApp:
                     st.ener_flux_y(ops.WRITE),
                     name="mass_ener_flux_y",
                     flops=6,
-                )
-                self._loop(
+                ))()
+                self._site(("advec_cell_y", first), lambda: self._loop(
                     K.make_advec_cell_y_kernel(st.dx, st.dy, first=first),
                     cells,
                     st.vol_flux_x(ops.READ, K.S_FACE_X),
@@ -247,7 +280,7 @@ class CloverLeafApp:
                     st.energy1(ops.RW),
                     name="advec_cell_y",
                     flops=12,
-                )
+                ))()
             self._momentum_sweep(direction)
 
     def _momentum_sweep(self, direction: str) -> None:
@@ -255,19 +288,19 @@ class CloverLeafApp:
         nx, ny = st.nx, st.ny
         nodes = [(0, nx + 1), (0, ny + 1)]
         self._apply_bcs(["density1", "mass_flux_x" if direction == "x" else "mass_flux_y"])
-        self._loop(
+        self._site("advec_mom_node_mass", lambda: self._loop(
             K.make_node_mass_kernel(st.dx, st.dy),
             nodes,
             st.density1(ops.READ, K.S_CELL4),
             st.node_mass(ops.WRITE),
             name="advec_mom_node_mass",
             flops=5,
-        )
+        ))()
         for vel_name in ("xvel1", "yvel1"):
             vel = getattr(st, vel_name)
             self._apply_bcs([vel_name])
             if direction == "x":
-                self._loop(
+                self._site(("advec_mom_flux_x", vel_name), lambda: self._loop(
                     K.mom_flux_x_kernel,
                     nodes,
                     st.mass_flux_x(ops.READ, K.S_DONOR_Y),
@@ -276,8 +309,8 @@ class CloverLeafApp:
                     st.node_flux(ops.WRITE),
                     name="advec_mom_flux_x",
                     flops=4,
-                )
-                self._loop(
+                ))()
+                self._site(("advec_mom_update_x", vel_name), lambda: self._loop(
                     K.mom_update_x_kernel,
                     [(1, nx), (0, ny + 1)],
                     st.mom_flux(ops.READ, K.S_FACE_X),
@@ -286,9 +319,9 @@ class CloverLeafApp:
                     vel(ops.RW),
                     name="advec_mom_update_x",
                     flops=6,
-                )
+                ))()
             else:
-                self._loop(
+                self._site(("advec_mom_flux_y", vel_name), lambda: self._loop(
                     K.mom_flux_y_kernel,
                     nodes,
                     st.mass_flux_y(ops.READ, K.S_DONOR_X),
@@ -297,8 +330,8 @@ class CloverLeafApp:
                     st.node_flux(ops.WRITE),
                     name="advec_mom_flux_y",
                     flops=4,
-                )
-                self._loop(
+                ))()
+                self._site(("advec_mom_update_y", vel_name), lambda: self._loop(
                     K.mom_update_y_kernel,
                     [(0, nx + 1), (1, ny)],
                     st.mom_flux(ops.READ, K.S_FACE_Y),
@@ -307,12 +340,12 @@ class CloverLeafApp:
                     vel(ops.RW),
                     name="advec_mom_update_y",
                     flops=6,
-                )
+                ))()
 
     def reset(self) -> None:
         st = self.st
         nx, ny = st.nx, st.ny
-        self._loop(
+        self._site("reset_field_cell", lambda: self._loop(
             K.reset_cell_kernel,
             [(0, nx), (0, ny)],
             st.density0(ops.WRITE),
@@ -321,8 +354,8 @@ class CloverLeafApp:
             st.energy1(ops.READ),
             name="reset_field_cell",
             flops=0,
-        )
-        self._loop(
+        ))()
+        self._site("reset_field_node", lambda: self._loop(
             K.reset_node_kernel,
             [(0, nx + 1), (0, ny + 1)],
             st.xvel0(ops.WRITE),
@@ -331,7 +364,7 @@ class CloverLeafApp:
             st.yvel1(ops.READ),
             name="reset_field_node",
             flops=0,
-        )
+        ))()
 
     def step(self) -> float:
         """Advance one timestep; returns the dt taken."""
@@ -370,7 +403,7 @@ class CloverLeafApp:
             press,
             name="field_summary",
             flops=20,
-        )
+        )()
         return {
             "volume": vol.value,
             "mass": mass.value,
@@ -403,16 +436,24 @@ class DistributedCloverLeafApp(CloverLeafApp):
         self._lo_y = coords[1] == 0
         self._hi_y = coords[1] == decomp.dims[1] - 1
 
-    def _loop(self, kernel, ranges, *args, name: str, flops: int = 0) -> None:
-        self.lb.par_loop(
-            self.comm,
-            kernel,
-            ranges,
-            *args,
-            backend=self.backend,
-            name=name,
-            flops_per_point=flops,
-        )
+    def _site(self, key, bind):
+        # no replay: every call rebuilds its arguments for the rank's LocalBlock
+        return bind()
+
+    def _loop(self, kernel, ranges, *args, name: str, flops: int = 0):
+        def rank_loop(*reductions):
+            # bound per call, so this call's reductions are already in args
+            self.lb.par_loop(
+                self.comm,
+                kernel,
+                ranges,
+                *args,
+                backend=self.backend,
+                name=name,
+                flops_per_point=flops,
+            )
+
+        return rank_loop
 
     def _apply_bcs(self, fields: list[str], depth: int = 2) -> None:
         for fname in fields:

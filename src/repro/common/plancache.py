@@ -5,6 +5,12 @@ replay it on every later call (Section II-C); :class:`PlanCache` is that
 cache.  Its instances — op2 plans, ops plans, lazy chain schedules —
 supply only a key, their entries' ``still_valid()`` guard and their trace
 attributes, and share one capacity, ``Config.execplan_cache_size``.
+
+A prebound loop site (``op2.loop`` / ``ops.loop``) pins the entry it
+replays instead of fetching it per call: it books its hits through
+:meth:`PlanCache.book_hit`, re-fetches once the cache's :attr:`epoch`
+has moved (every :meth:`clear` bumps it) and reports a stale pin through
+:meth:`PlanCache.invalidate`.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ class PlanCache:
         self._fields = {s: f"{books}_{s}" for s in self._stats
                         if hasattr(PerfCounters, f"{books}_{s}")}
         self._hit_field = self._fields["hits"]
+        #: bumped by every :meth:`clear`: a pin taken before it is stale
+        self.epoch = 0
         _live.add(self)
 
     def get(self, key: Hashable, build: Callable, *args):
@@ -71,10 +79,31 @@ class PlanCache:
             self._trim(get_config().execplan_cache_size)
         return entry
 
+    def book_hit(self) -> None:
+        """Count a hit on an entry its caller pinned rather than fetched."""
+        with self._lock:
+            self._stats["hits"] += 1
+        counters, field = active_counters(), self._hit_field
+        setattr(counters, field, getattr(counters, field) + 1)
+
+    def invalidate(self, entry) -> None:
+        """A pinned ``entry`` failed its guard: drop it and count one invalidation.
+
+        The entry may already be evicted; the invalidation is booked either
+        way, so a pinned site reports exactly what a fetched one would.
+        """
+        with self._lock:
+            for key, cached in self._entries.items():
+                if cached is entry:
+                    del self._entries[key]
+                    break
+            self._note("invalidations", entry)
+
     def clear(self) -> None:
-        """Drop every entry; the statistics keep counting."""
+        """Drop every entry and move the epoch; the statistics keep counting."""
         with self._lock:
             self._entries.clear()
+            self.epoch += 1
         if self._on_clear is not None:
             self._on_clear()
 

@@ -9,6 +9,10 @@ merges the precomputed accounting and marks written halos dirty.  Its one
 guard keeps it valid only while every storage array it was built on is the
 same object: baked native addresses and cached views alias them, so a
 rebound array invalidates the site and the cache rebuilds and re-admits it.
+
+A prebound loop (``op2.loop`` / ``ops.loop``) is the call site's own stub:
+its :class:`Pin` holds the site between calls, so a replay forms no
+signature and takes no cache lookup.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.telemetry import tracer as _trace
 
 __all__ = [
     "CompiledSite",
+    "Pin",
     "announce",
     "interpreted_loop",
     "lookup",
@@ -92,6 +97,12 @@ def interpreted_loop(api: str, name: str, **attrs) -> Iterator[PerfCounters]:
             trc.end(span)
 
 
+#: ``repro.lint.abstract``, imported on first use: an import statement per
+#: call costs more than the rest of a cache hit.  The module is kept, not
+#: its function, so a wrapper set on the attribute (tracing) is honoured
+_lint_abstract = None
+
+
 def lookup(cache: PlanCache, kernel, key_of: Callable, build: Callable, *args):
     """The cached site ``build(kernel, *args)`` under ``key_of(kernel, *args)``.
 
@@ -103,15 +114,53 @@ def lookup(cache: PlanCache, kernel, key_of: Callable, build: Callable, *args):
     lets any :class:`~repro.common.errors.APIError` propagate; it runs
     inside this call, so a traced build nests under the domain's lookup.
     """
-    from repro.lint.abstract import certify_callable  # lint builds on common
+    global _lint_abstract
+    if _lint_abstract is None:
+        from repro.lint import abstract  # lint builds on common
 
-    if certify_callable(kernel).rng:
+        _lint_abstract = abstract
+    if _lint_abstract.certify_callable(kernel).rng:
         return None
     try:
         key = key_of(kernel, *args)
     except (AttributeError, TypeError):
         return None
     return cache.get(key, build, kernel, *args)
+
+
+class Pin:
+    """One call site's hold on its compiled site: what a prebound loop replays.
+
+    The first :meth:`fetch` goes through the domain's ``lookup`` (which
+    books the hit or miss and builds on a miss) and keeps the result; later
+    fetches return it and book one hit.  The pin re-fetches once when its
+    site's guard fails — the cache books that invalidation — or when the
+    cache's epoch has moved: a cleared cache may have been cleared to
+    rebuild under a new configuration.  Eviction does not unpin: the pin
+    keeps its site alive, and the guard alone says whether it still holds.
+    """
+
+    __slots__ = ("cache", "site", "epoch")
+
+    def __init__(self, cache: PlanCache):
+        self.cache = cache
+        self.site = None
+        self.epoch = -1  # never fetched
+
+    def fetch(self, lookup: Callable, *args):
+        """The pinned site, else ``lookup(*args)`` pinned; None: interpret."""
+        cache = self.cache
+        site = self.site
+        if self.epoch == cache.epoch:
+            if site is None:
+                return None  # the lookup declined (an RNG kernel)
+            if site.still_valid():
+                cache.book_hit()
+                return site
+            cache.invalidate(site)
+        self.epoch = cache.epoch
+        site = self.site = lookup(*args)
+        return site
 
 
 class CompiledSite:

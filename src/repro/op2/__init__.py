@@ -40,7 +40,7 @@ from repro.op2.map import Map, IDENTITY
 from repro.op2.dat import Dat, Global, Const
 from repro.op2.args import Arg
 from repro.op2.kernel import Kernel
-from repro.op2.parloop import par_loop, loop_chain_record
+from repro.op2.parloop import loop, par_loop, loop_chain_record
 from repro.op2.plan import Plan, build_plan
 from repro.op2.execplan import CompiledLoop, clear_plan_cache, plan_cache_stats, set_plan_cache_capacity
 from repro.op2.partition import partition_set, PartitionResult
@@ -64,6 +64,7 @@ __all__ = [
     "Arg",
     "Kernel",
     "par_loop",
+    "loop",
     "loop_chain_record",
     "Plan",
     "build_plan",

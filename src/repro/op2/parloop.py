@@ -30,7 +30,7 @@ from repro.common.profiling import (
     observers_active,
     remove_loop_observer,
 )
-from repro.common.site import announce, interpreted_loop, mark_written, written_dats
+from repro.common.site import Pin, announce, interpreted_loop, mark_written, written_dats
 from repro.op2 import execplan
 from repro.ops import lazy as _ops_lazy
 from repro.op2.args import Arg
@@ -40,6 +40,7 @@ from repro.op2.set import Set
 
 __all__ = [
     "par_loop",
+    "loop",
     "active_counters",
     "counters_scope",
     "loop_chain_record",
@@ -163,6 +164,13 @@ def interpret(backend: str, kernel: Kernel, args: list[Arg], n: int) -> None:
         execute_subset(kernel, args, slice(0, n), n)
 
 
+def _check_call(backend: str, n_elements: int | None) -> None:
+    if backend not in BACKENDS:
+        raise unknown_backend(backend)
+    if n_elements is not None and n_elements < 0:
+        raise APIError(f"n_elements must be >= 0, got {n_elements}")
+
+
 def par_loop(
     kernel: Kernel,
     iterset: Set,
@@ -187,11 +195,65 @@ def par_loop(
     op2 loops stay eager, but a mixed-API program may have OPS loops
     queued by the lazy runtime; they precede this loop in program order,
     so drain them first (the op2-aware queue hook).
+
+    A call site that runs many times can bind itself once with
+    :func:`loop` and replay the handle instead.
     """
-    if backend not in BACKENDS:
-        raise unknown_backend(backend)
-    if n_elements is not None and n_elements < 0:
-        raise APIError(f"n_elements must be >= 0, got {n_elements}")
+    _check_call(backend, n_elements)
+    _dispatch(kernel, iterset, args, backend, n_elements, None)
+
+
+class Loop:
+    """A prebound loop site: ``par_loop``'s arguments validated once, replayed.
+
+    ``op2.loop(kernel, iterset, *args, backend=, n_elements=)`` runs
+    ``par_loop``'s full validation and returns this handle; calling it is
+    exactly ``par_loop(kernel, iterset, *args, ...)`` — the configuration,
+    observers, OPS flush point and interpreted paths are all read per
+    call — except that the compiled site is pinned rather than fetched
+    (:class:`repro.common.site.Pin`).  Globals are bound with the handle.
+
+    >>> res_calc = op2.loop(K_RES_CALC, edges, x(op2.READ, e2n, 0), ...)
+    >>> res_calc()
+    """
+
+    __slots__ = ("kernel", "iterset", "args", "backend", "n_elements", "pin")
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        iterset: Set,
+        *args: Arg,
+        backend: str = "vec",
+        n_elements: int | None = None,
+    ):
+        _check_call(backend, n_elements)
+        if not isinstance(iterset, Set):
+            raise APIError(f"loops iterate over an op2.Set, got {iterset!r}")
+        validate_loop_args(kernel, iterset, list(args))
+        self.kernel = kernel
+        self.iterset = iterset
+        self.args = args
+        self.backend = backend
+        self.n_elements = n_elements
+        self.pin = Pin(execplan.plans)
+
+    def __call__(self) -> None:
+        _dispatch(self.kernel, self.iterset, self.args, self.backend, self.n_elements, self.pin)
+
+
+loop = Loop
+
+
+def _dispatch(
+    kernel: Kernel,
+    iterset: Set,
+    args: tuple,
+    backend: str,
+    n_elements: int | None,
+    pin: Pin | None,
+) -> None:
+    """One call of a loop site, through its pin when it is prebound."""
     if _ops_lazy.ACTIVE:
         _ops_lazy.flush_point("op2_par_loop")
     cfg = get_config()
@@ -203,7 +265,10 @@ def par_loop(
         and isinstance(kernel, Kernel)
         and isinstance(iterset, Set)
     ):
-        compiled = execplan.lookup(kernel, iterset, args, n)
+        if pin is None:
+            compiled = execplan.lookup(kernel, iterset, args, n)
+        else:
+            compiled = pin.fetch(execplan.lookup, kernel, iterset, args, n)
         if compiled is not None:
             compiled.execute()
             return

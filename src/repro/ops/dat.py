@@ -9,7 +9,7 @@ from repro.common.errors import APIError
 from repro.common.tokens import next_token
 from repro.ops import lazy as _lazy
 from repro.ops.block import Block
-from repro.ops.stencil import Stencil
+from repro.ops.stencil import Stencil, centre_stencil
 
 
 class Dat:
@@ -123,9 +123,7 @@ class Dat:
 
         validate_argument_access(access, is_global=False, dat=self.name)
         if stencil is None:
-            from repro.ops.stencil import Stencil as _S
-
-            stencil = _S(self.block.ndim, [(0,) * self.block.ndim])
+            stencil = centre_stencil(self.block.ndim)
         if stencil.ndim != self.block.ndim:
             raise APIError(
                 f"stencil {stencil.name} is {stencil.ndim}-D, dat {self.name} "

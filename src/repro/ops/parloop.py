@@ -26,7 +26,7 @@ from repro.common.config import get_config
 from repro.common.counters import PerfCounters
 from repro.common.errors import BACKENDS, APIError, unknown_backend
 from repro.common.profiling import ArgEvent, LoopEvent, observers_active
-from repro.common.site import announce, interpreted_loop, mark_written, written_dats
+from repro.common.site import Pin, announce, interpreted_loop, mark_written, written_dats
 from repro.ops import execplan
 from repro.ops import lazy as _lazy
 from repro.ops.accessor import PointAccessor, RangeAccessor
@@ -208,11 +208,106 @@ def par_loop(
     observation.  Loops the queue cannot take (``seq`` backend, stencil
     checking, descriptor verification, active loop observers) first drain
     the queue, preserving program order, then execute eagerly.
+
+    A call site that runs many times can bind itself once with
+    :func:`loop` and replay the handle instead.
     """
     if backend not in BACKENDS:
         raise unknown_backend(backend)
-    ranges_t = [tuple(int(c) for c in r) for r in ranges]
-    loop_name = name or getattr(kernel, "__name__", "ops_loop")
+    _dispatch(
+        kernel, block, [tuple(int(c) for c in r) for r in ranges], args, backend,
+        name or getattr(kernel, "__name__", "ops_loop"), flops_per_point, check, None,
+    )
+
+
+class Loop:
+    """A prebound loop site: ``par_loop``'s arguments validated once, replayed.
+
+    ``ops.loop(kernel, block, ranges, *args, backend=, name=,
+    flops_per_point=, check=)`` runs ``par_loop``'s validation and returns
+    this handle; calling it is exactly the matching ``par_loop`` call —
+    configuration, lazy queueing and flushes, observers and the
+    interpreted paths are all read per call — except that the compiled
+    site is pinned rather than fetched (:class:`repro.common.site.Pin`).
+
+    Reduction arguments are slots: ``site(r1, ...)`` binds one fresh
+    :class:`Reduction` per slot, in argument order, for that call (same
+    kind as the handle bound there); ``site()`` folds into the bound ones.
+
+    >>> calc_dt = ops.loop(kernel, block, cells, u(ops.READ), ops.Reduction("min"))
+    >>> dt_min = ops.Reduction("min"); calc_dt(dt_min)
+    """
+
+    __slots__ = (
+        "kernel", "block", "ranges", "args", "backend", "name",
+        "flops_per_point", "check", "slots", "pin",
+    )
+
+    def __init__(
+        self,
+        kernel: Callable,
+        block: Block,
+        ranges: Sequence[tuple[int, int] | list[int]],
+        *args: LoopArg,
+        backend: str = "vec",
+        name: str | None = None,
+        flops_per_point: int = 0,
+        check: bool | None = None,
+    ):
+        if backend not in BACKENDS:
+            raise unknown_backend(backend)
+        self.ranges = [tuple(int(c) for c in r) for r in ranges]
+        self.name = name or getattr(kernel, "__name__", "ops_loop")
+        _validate(block, self.ranges, args, self.name)
+        self.kernel = kernel
+        self.block = block
+        self.args = args
+        self.backend = backend
+        self.flops_per_point = flops_per_point
+        self.check = check
+        self.slots = tuple(i for i, a in enumerate(args) if isinstance(a, Reduction))
+        self.pin = Pin(execplan.plans)
+
+    def __call__(self, *reductions: Reduction) -> None:
+        args = self._bind(reductions) if reductions else self.args
+        _dispatch(
+            self.kernel, self.block, self.ranges, args, self.backend, self.name,
+            self.flops_per_point, self.check, self.pin,
+        )
+
+    def _bind(self, reductions: tuple) -> tuple:
+        """The bound arguments with ``reductions`` in the reduction slots."""
+        if len(reductions) != len(self.slots):
+            raise APIError(
+                f"loop {self.name}: {len(reductions)} reductions for "
+                f"{len(self.slots)} reduction slots"
+            )
+        args = list(self.args)
+        for i, red in zip(self.slots, reductions):
+            if not isinstance(red, Reduction) or red.kind != args[i].kind:
+                raise APIError(
+                    f"loop {self.name}: argument {i} takes a {args[i].kind!r} "
+                    f"Reduction, got {red!r}"
+                )
+            args[i] = red
+        return tuple(args)
+
+
+loop = Loop
+
+
+def _dispatch(
+    kernel: Callable,
+    block: Block,
+    ranges_t: list[tuple[int, int]],
+    args: Sequence[LoopArg],
+    backend: str,
+    loop_name: str,
+    flops_per_point: int,
+    check: bool | None,
+    pin: Pin | None,
+) -> None:
+    """One call of a loop site: queue it, or run it through its pin when prebound."""
     cfg = get_config()
     do_check = cfg.check_stencils if check is None else check
     if cfg.lazy or _lazy.ACTIVE:
@@ -229,7 +324,7 @@ def par_loop(
         # program order and must land first
         _lazy.flush_point("eager_par_loop")
     _execute_loop(
-        kernel, block, ranges_t, args, backend, loop_name, flops_per_point, do_check
+        kernel, block, ranges_t, args, backend, loop_name, flops_per_point, do_check, pin
     )
 
 
@@ -242,6 +337,7 @@ def _execute_loop(
     loop_name: str,
     flops_per_point: int,
     do_check: bool,
+    pin: Pin | None = None,
 ) -> None:
     """Eager execution of one loop (the dispatch target of lazy flushes too)."""
     cfg = get_config()
@@ -252,7 +348,14 @@ def _execute_loop(
         and not cfg.verify_descriptors
         and isinstance(block, Block)
     ):
-        compiled = execplan.lookup(kernel, block, ranges_t, args, loop_name, flops_per_point)
+        if pin is None:
+            compiled = execplan.lookup(
+                kernel, block, ranges_t, args, loop_name, flops_per_point
+            )
+        else:
+            compiled = pin.fetch(
+                execplan.lookup, kernel, block, ranges_t, args, loop_name, flops_per_point
+            )
         if compiled is not None:
             compiled.execute(args)
             return

@@ -49,6 +49,21 @@ class Stencil:
         return f"Stencil({self.name!r}, {list(self.points)})"
 
 
+_CENTRES: dict[int, Stencil] = {}
+
+
+def centre_stencil(ndim: int) -> Stencil:
+    """The one shared centre-point stencil of ``ndim`` dimensions.
+
+    A dat argument declared without a stencil gets it; sharing it saves
+    building a new one on every call.
+    """
+    stencil = _CENTRES.get(ndim)
+    if stencil is None:
+        stencil = _CENTRES[ndim] = Stencil(ndim, [(0,) * ndim])
+    return stencil
+
+
 #: common pre-defined stencils, named like OPS's headers
 S1D_0 = Stencil(1, [(0,)], "S1D_0")
 S1D_3PT = Stencil(1, [(-1,), (0,), (1,)], "S1D_3PT")

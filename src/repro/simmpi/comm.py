@@ -232,10 +232,25 @@ class _WorldState:
         self.transport.wake_all()
 
 
+def _fold_min(a, b):
+    # np.minimum's fold (the ops.Reduction and native semantics): the first
+    # NaN met is kept and a tie goes to the later operand; the builtin min
+    # drops a NaN that is not first.  Scalars stay the caller's type
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return a if a != a or a < b else b
+
+
+def _fold_max(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return a if a != a or a > b else b
+
+
 _REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "sum": lambda a, b: a + b,
-    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
+    "min": _fold_min,
+    "max": _fold_max,
     "prod": lambda a, b: a * b,
 }
 

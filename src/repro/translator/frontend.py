@@ -3,9 +3,11 @@
 Mirrors the paper's Fig 1 flow: the application, written against the
 high-level API, "is then parsed by a python source-to-source translator".
 We walk the application module's AST and lift every ``par_loop(...)`` /
-``op2.par_loop(...)`` / ``ops.par_loop(...)`` call into a :class:`LoopSite`
-record: the kernel name, the iteration space expression and one
-:class:`ArgSite` per argument with its dat/map/index/access text.
+``op2.par_loop(...)`` / ``ops.par_loop(...)`` call — and every prebound
+site, ``op2.loop(...)`` / ``ops.loop(...)``, which takes the same
+arguments — into a :class:`LoopSite` record: the kernel name, the
+iteration space expression and one :class:`ArgSite` per argument with
+its dat/map/index/access text.
 
 Beyond the basic form, the lifter understands the idioms the bundled apps
 actually use:
@@ -181,11 +183,12 @@ def _classify_par_loop(
     rather than the generic ``<anything>.par_loop`` fallback.
     """
     f = call.func
-    if isinstance(f, ast.Attribute) and f.attr == "par_loop":
+    if isinstance(f, ast.Attribute) and f.attr in ("par_loop", "loop"):
         base = ast.unparse(f.value)
         if base in aliases:
             return aliases[base], True
-        return "op2", False
+        if f.attr == "par_loop":
+            return "op2", False
     if isinstance(f, ast.Name) and f.id in _BARE_LOOP_NAMES:
         return _BARE_LOOP_NAMES[f.id], True
     return None, False

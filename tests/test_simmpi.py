@@ -115,6 +115,30 @@ class TestCollectives:
 
         assert run_spmd(4, main) == [expect] * 4
 
+    @pytest.mark.parametrize("nranks", [2, 4])
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_allreduce_min_max_keep_a_nan_from_any_rank(self, nranks, op):
+        for nan_rank in range(nranks):
+            def main(comm, nan_rank=nan_rank):
+                v = float("nan") if comm.rank == nan_rank else float(comm.rank + 1)
+                return comm.allreduce(v, op=op)
+
+            out = run_spmd(nranks, main)
+            assert all(type(v) is float and np.isnan(v) for v in out), (nan_rank, out)
+
+    @pytest.mark.parametrize("op,fold", [("min", np.minimum), ("max", np.maximum)])
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (0.0, -0.0, -0.0, 0.0)])
+    def test_allreduce_signed_zero_ties_match_numpy(self, op, fold, zeros):
+        def main(comm):
+            return comm.allreduce(zeros[comm.rank], op=op)
+
+        expect = zeros[0]
+        for z in zeros[1:]:
+            expect = fold(expect, z)
+        out = run_spmd(len(zeros), main)
+        assert all(type(v) is float for v in out)
+        assert [np.signbit(v) for v in out] == [np.signbit(expect)] * len(zeros)
+
     def test_allreduce_array(self):
         def main(comm):
             return comm.allreduce(np.asarray([comm.rank, 1.0]))

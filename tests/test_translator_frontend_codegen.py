@@ -114,6 +114,26 @@ class TestFrontendLifting:
         assert sites[0].enclosing == "App.step"
         assert [a.access for a in sites[0].args] == ["READ", "WRITE"]
 
+    def test_prebound_sites_lifted_like_par_loop(self):
+        src = (
+            "from repro import ops as o\n"
+            "import repro.op2 as o2\n"
+            "class App:\n"
+            "    def _loop(self, kernel, ranges, *args, name=None):\n"
+            "        return o.loop(kernel, self.block, ranges, *args, name=name)\n"
+            "    def step(self):\n"
+            "        o2.loop(K_RES, edges, q(o2.READ, e2c, 0), res(o2.INC, e2c, 1))()\n"
+            "        self._site('pdv', lambda: self._loop(k_pdv, self.rng, d(o.READ),\n"
+            "                                             name='pdv'))()\n"
+            "        timer.loop(K, s, d(o2.READ))\n"  # not an API module: no site
+        )
+        op2_site, ops_site = parse_app_source(src)
+        assert (op2_site.api, op2_site.kernel, op2_site.iterset) == ("op2", "K_RES", "edges")
+        assert [(a.map, a.idx, a.access) for a in op2_site.args] == [
+            ("e2c", "0", "READ"), ("e2c", "1", "INC")]
+        assert (ops_site.api, ops_site.kernel, ops_site.iterset) == ("ops", "k_pdv", "self.block")
+        assert ops_site.enclosing == "App.step" and ops_site.name_hint == "pdv"
+
     def test_starred_descriptors_recorded_not_dropped(self):
         result = parse_app_full(
             "def run(cells, k, descs):\n"
