@@ -19,8 +19,18 @@ mixed-API program, or an explicit :func:`flush` — at which moment:
    eager call of the site replays, keyed on the loop's full ranges — and
    every tile runs as ``plan.execute(args, tile_ranges)``: the tile bounds
    are a run-time argument (the native tier retargets its bound pointer
-   and extent buffers in place), never a plan key.  A flush therefore
-   costs one plan lookup per queued loop however many tiles it cuts.
+   and extent buffers in place), never a plan key.  A ``par_loop`` call
+   costs one plan lookup per flush however many tiles it cuts; a prebound
+   loop (``ops.loop``) costs none: its record carries the handle's
+   :class:`~repro.common.site.Pin`, which books one hit and re-fetches only
+   after a guard failure or a cleared cache, as an eager replay does.
+
+A queue record (:class:`QueuedLoop`) is built by :func:`build_record` and
+appended by :func:`push`; ``par_loop`` calls both (:func:`enqueue`).  A
+prebound loop builds its record once, on its first lazy call, and pushes
+it again on every later one: everything the record holds — certificate,
+merged accesses, chain signature, dat items, written dats — is a function
+of the kernel and of descriptors that the handle fixed at binding.
 
 Schedules are cached in :data:`chains`, a
 :class:`~repro.common.plancache.PlanCache` sized like the plan caches and
@@ -57,13 +67,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from repro.common.config import get_config
 from repro.common.plancache import PlanCache
 from repro.common.profiling import active_counters, observers_active
-from repro.common.site import mark_written, written_dats
+from repro.common.site import Pin, mark_written, written_dats
 from repro.lint.dataflow import AccessRecord
 from repro.ops.tileplan import ChainSchedule, LoopSpec, build_tile_schedule
 from repro.telemetry import tracer as _trace
@@ -71,6 +80,8 @@ from repro.telemetry import tracer as _trace
 __all__ = [
     "ACTIVE",
     "QueuedLoop",
+    "build_record",
+    "push",
     "enqueue",
     "flush",
     "flush_point",
@@ -120,9 +131,12 @@ class _ThreadState(threading.local):
 _state = _ThreadState()
 
 
-@dataclass
-class QueuedLoop:
-    """One deferred ``par_loop`` invocation, plus its scheduling metadata."""
+class QueuedLoop(NamedTuple):
+    """One deferred ``par_loop`` invocation, plus its scheduling metadata.
+
+    Immutable: a prebound loop pushes the same record on every call, or a
+    copy (``_replace``) whose ``args`` hold that call's reductions.
+    """
 
     kernel: Callable
     block: object
@@ -134,6 +148,10 @@ class QueuedLoop:
     spec: LoopSpec
     #: (dat token, itemsize) per distinct dat argument — the bytes-saved model
     dat_items: tuple
+    #: dats some argument writes: their halos go stale when the loop queues
+    written: tuple
+    #: the prebound loop's hold on its plan; None: look the plan up at flush
+    pin: Pin | None = None
 
 
 def _kernel_code_id(kernel: Callable):
@@ -166,27 +184,22 @@ def _read_extent(cert, i: int, declared: tuple) -> tuple:
     ranks = {len(p) for p in declared}
     if any(len(p) not in ranks for p in proven):
         return declared
-    return tuple(p for p in declared if p in set(proven))
+    proven = set(proven)
+    return tuple(p for p in declared if p in proven)
 
 
-def enqueue(
+def build_record(
     kernel: Callable,
     block,
     ranges: list,
     args: Sequence,
     name: str,
     flops_per_point: int,
-) -> None:
-    """Queue one ``vec`` loop.
-
-    Validation runs here so malformed loops still fail at the call site,
-    not at some distant flush.
-    """
+    pin: Pin | None = None,
+) -> QueuedLoop:
+    """The queue record of one already-validated ``vec`` loop."""
     from repro.lint.abstract import certify_callable
-    from repro.ops.parloop import DatArg, _validate
     from repro.ops.reduction import Reduction
-
-    _validate(block, ranges, args, name)
 
     cert = certify_callable(kernel)
     fusable = not cert.rng  # reordering loops would reorder the RNG stream
@@ -199,7 +212,6 @@ def enqueue(
                 fusable = False
             sig_args.append(("r", a.kind))
             continue
-        assert isinstance(a, DatArg)
         tok = a.dat.token
         points = tuple(tuple(p) for p in a.stencil.points)
         rec = merged.get(tok)
@@ -229,7 +241,7 @@ def enqueue(
         fusable,
         tuple(sig_args),
     )
-    item = QueuedLoop(
+    return QueuedLoop(
         kernel=kernel,
         block=block,
         ranges=ranges,
@@ -239,18 +251,42 @@ def enqueue(
         sig=sig,
         spec=spec,
         dat_items=tuple((tok, rec[3]) for tok, rec in merged.items()),
+        written=tuple(written_dats(args)),
+        pin=pin,
     )
 
+
+def push(item: QueuedLoop) -> None:
+    """Append ``item`` to the calling thread's queue."""
     # eager execution sets halo_dirty after running; queueing must mark it
     # *now* so a distributed runtime's on-demand exchange check (which runs
     # before the next loop is even queued) still sees the pending write
-    mark_written(written_dats(args))
+    mark_written(item.written)
 
     st = _state
     st.queue.append(item)
     _active_add(1)
     if len(st.queue) >= QUEUE_LIMIT:
         flush("queue_limit")
+
+
+def enqueue(
+    kernel: Callable,
+    block,
+    ranges: list,
+    args: Sequence,
+    name: str,
+    flops_per_point: int,
+) -> None:
+    """Queue one ``vec`` ``par_loop`` call.
+
+    Validation runs here so malformed loops still fail at the call site,
+    not at some distant flush.
+    """
+    from repro.ops.parloop import _validate
+
+    _validate(block, ranges, args, name)
+    push(build_record(kernel, block, ranges, args, name, flops_per_point))
 
 
 def flush_point(reason: str = "observe") -> None:
@@ -386,7 +422,7 @@ def _execute_whole(q: QueuedLoop) -> None:
 
     _execute_loop(
         q.kernel, q.block, q.ranges, q.args, "vec", q.name,
-        q.flops_per_point, False,
+        q.flops_per_point, False, q.pin,
     )
 
 
@@ -394,9 +430,10 @@ def _plan_for(q: QueuedLoop):
     """The loop's compiled plan — the one an eager call of the site replays."""
     from repro.ops import execplan
 
-    return execplan.lookup(
-        q.kernel, q.block, q.ranges, q.args, q.name, q.flops_per_point
-    )
+    args = (q.kernel, q.block, q.ranges, q.args, q.name, q.flops_per_point)
+    if q.pin is None:
+        return execplan.lookup(*args)
+    return q.pin.fetch(execplan.lookup, *args)
 
 
 def _run_queue(queue: list, reason: str) -> None:
@@ -422,8 +459,8 @@ def _run_queue(queue: list, reason: str) -> None:
         schedule, group_saved = _schedule_for(queue)
         for gi, group in enumerate(schedule.groups):
             members = [queue[li] for li in group.loops]
-            # one lookup per queued loop per flush: tile bounds are run-time
-            # arguments of the plan, never part of its key
+            # one fetch per queued loop per flush (a pinned plan, or a
+            # lookup): tile bounds are run-time arguments, never a plan key
             plans = [_plan_for(q) for q in members] if group.fused else None
             if plans is None or None in plans:
                 for q in members:

@@ -228,7 +228,9 @@ class Loop:
     this handle; calling it is exactly the matching ``par_loop`` call —
     configuration, lazy queueing and flushes, observers and the
     interpreted paths are all read per call — except that the compiled
-    site is pinned rather than fetched (:class:`repro.common.site.Pin`).
+    site is pinned rather than fetched (:class:`repro.common.site.Pin`),
+    and a lazy call pushes the handle's prebuilt queue record, whose flush
+    fetches the plan through that pin (:meth:`_queued`).
 
     Reduction arguments are slots: ``site(r1, ...)`` binds one fresh
     :class:`Reduction` per slot, in argument order, for that call (same
@@ -240,7 +242,7 @@ class Loop:
 
     __slots__ = (
         "kernel", "block", "ranges", "args", "backend", "name",
-        "flops_per_point", "check", "slots", "pin",
+        "flops_per_point", "check", "slots", "pin", "record",
     )
 
     def __init__(
@@ -267,13 +269,30 @@ class Loop:
         self.check = check
         self.slots = tuple(i for i, a in enumerate(args) if isinstance(a, Reduction))
         self.pin = Pin(execplan.plans)
+        self.record = None  # the lazy queue record, built on the first lazy call
 
     def __call__(self, *reductions: Reduction) -> None:
         args = self._bind(reductions) if reductions else self.args
         _dispatch(
             self.kernel, self.block, self.ranges, args, self.backend, self.name,
-            self.flops_per_point, self.check, self.pin,
+            self.flops_per_point, self.check, self,
         )
+
+    def _queued(self, args: tuple) -> _lazy.QueuedLoop:
+        """This call's lazy queue record: the handle's own, with ``args`` bound.
+
+        Built once: the certificate, chain signature and merged accesses
+        depend only on the kernel and on descriptors fixed at binding (a
+        reduction slot keeps its kind), and the record carries the pin, so
+        the flush fetches the plan through it.
+        """
+        record = self.record
+        if record is None:
+            record = self.record = _lazy.build_record(
+                self.kernel, self.block, self.ranges, self.args, self.name,
+                self.flops_per_point, self.pin,
+            )
+        return record if args is self.args else record._replace(args=args)
 
     def _bind(self, reductions: tuple) -> tuple:
         """The bound arguments with ``reductions`` in the reduction slots."""
@@ -305,9 +324,10 @@ def _dispatch(
     loop_name: str,
     flops_per_point: int,
     check: bool | None,
-    pin: Pin | None,
+    site: Loop | None,
 ) -> None:
-    """One call of a loop site: queue it, or run it through its pin when prebound."""
+    """One call of a loop site: queue it or run it, through ``site``'s record
+    and pin when prebound."""
     cfg = get_config()
     do_check = cfg.check_stencils if check is None else check
     if cfg.lazy or _lazy.ACTIVE:
@@ -318,13 +338,17 @@ def _dispatch(
             and not cfg.verify_descriptors
             and not observers_active()
         ):
-            _lazy.enqueue(kernel, block, ranges_t, args, loop_name, flops_per_point)
+            if site is None:
+                _lazy.enqueue(kernel, block, ranges_t, args, loop_name, flops_per_point)
+            else:
+                _lazy.push(site._queued(args))
             return
         # this loop runs eagerly; anything still queued precedes it in
         # program order and must land first
         _lazy.flush_point("eager_par_loop")
     _execute_loop(
-        kernel, block, ranges_t, args, backend, loop_name, flops_per_point, do_check, pin
+        kernel, block, ranges_t, args, backend, loop_name, flops_per_point, do_check,
+        None if site is None else site.pin,
     )
 
 

@@ -29,9 +29,11 @@ from repro.common.counters import PerfCounters
 from repro.common.errors import APIError, DescriptorViolation, StencilMismatchError
 from repro.common.plancache import clear_plan_caches, set_plan_cache_capacity
 from repro.common.profiling import add_loop_observer, counters_scope, remove_loop_observer
+from repro.lint import abstract as lint_abstract
 from repro.native.cache import find_compiler
 from repro.op2 import execplan as op2_exec
 from repro.ops import execplan as ops_exec
+from repro.ops import lazy as ops_lazy
 
 requires_cc = pytest.mark.skipif(find_compiler() is None, reason="no C compiler available")
 
@@ -197,7 +199,7 @@ _EXEC = {"op2": op2_exec, "ops": ops_exec}
 
 @pytest.mark.parametrize("api", ["op2", "ops"])
 class TestHitPath:
-    """The eager path: a lazy run looks every queued loop up at its flush."""
+    """The eager path; :class:`TestLazyHitPath` is the same under ``lazy=True``."""
 
     @pytest.fixture(autouse=True)
     def _eager(self):
@@ -311,6 +313,119 @@ class TestHitPath:
         assert c.loops_sanitized == 1
         assert (c.plan_hits, c.plan_misses) == (0, 0)
         np.testing.assert_array_equal(_values(d), np.arange(16.0) * 4.0)
+
+
+class TestLazyHitPath:
+    """A lazy call of an ``ops.loop`` handle pushes the handle's prebuilt
+    queue record, and the flush fetches the plan through the handle's pin:
+    after the first step nothing is certified, signed or looked up."""
+
+    @pytest.fixture(autouse=True)
+    def _lazy(self, tmp_path):
+        with swap(lazy=True, native_cache_dir=str(tmp_path)):
+            yield
+
+    @staticmethod
+    def _count(monkeypatch, module, attr) -> list:
+        calls = []
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_replayed_step_never_looks_up_or_certifies(self, monkeypatch):
+        app = CloverLeafApp(nx=12, ny=12)
+        # the advection sweeps alternate their order: the second step
+        # binds the other half of the sites
+        for _ in range(2):
+            app.step()
+        ops.lazy_flush()
+        dt = app.dt
+        lookups = self._count(monkeypatch, ops_exec, "lookup")
+        certs = self._count(monkeypatch, lint_abstract, "certify_callable")
+        enqueues = self._count(monkeypatch, ops_lazy, "enqueue")
+        for _ in range(2):
+            c = PerfCounters()
+            with counters_scope(c):
+                app.step()
+            # every queued loop was fetched through its pin: one hit each
+            assert c.lazy_loops > 0
+            assert c.plan_hits == c.lazy_loops
+            assert (c.plan_misses, c.plan_invalidations) == (0, 0)
+        assert app.dt == dt  # no dt site was rebound
+        assert (lookups, certs, enqueues) == ([], [], [])
+
+    @pytest.mark.parametrize("native", [False, pytest.param(True, marks=requires_cc)])
+    def test_rebound_storage_invalidates_once_then_replays(self, native):
+        d, site = _site("ops")
+        c = PerfCounters()
+        with counters_scope(c), swap(native=native):
+            site()
+            ops.lazy_flush()
+            site()
+            # the rebind drains the queue first: the queued call hits the
+            # plan built on the old storage, the next flush finds it stale
+            d.adopt_storage(d.data.copy())
+            site()
+            assert ops_lazy.queued_loops() == 1
+            ops.lazy_flush()
+            site()
+        assert c.plan_invalidations == 1
+        assert (c.plan_misses, c.plan_hits) == (2, 2)
+        np.testing.assert_array_equal(_values(d), np.arange(16.0) * 16.0)
+
+    @requires_cc
+    def test_native_off_and_cleared_before_the_flush_takes_the_vec_tier(self):
+        d, site = _site("ops")
+        site()
+        ops.lazy_flush()
+        assert site.pin.site.native is not None
+        site()
+        assert ops_lazy.queued_loops() == 1
+        c = PerfCounters()
+        with swap(native=False), counters_scope(c):
+            clear_plan_caches()
+            ops.lazy_flush()
+        assert site.pin.site.native is None
+        assert c.native_calls == 0 and c.plan_misses == 1
+        np.testing.assert_array_equal(_values(d), np.arange(16.0) * 4.0)
+
+    def test_calc_dt_queues_the_calls_own_reduction(self):
+        app = CloverLeafApp(nx=12, ny=12)
+        app.step()
+        ops.lazy_flush()
+        calc_dt = app._sites["calc_dt"]
+        dt_min = ops.Reduction("min", name="dt_min")
+        calc_dt(dt_min)
+        queued = ops_lazy._state.queue[-1]
+        assert queued.args[-1] is dt_min and queued.pin is calc_dt.pin
+        assert queued.sig is calc_dt.record.sig  # a copy of the handle's record
+        got = dt_min.value  # an observation point: drains the queue
+        assert ops_lazy.queued_loops() == 0
+        with swap(lazy=False):
+            ref = ops.Reduction("min", name="dt_min")
+            calc_dt(ref)
+        assert got == ref.value < np.inf
+
+    @pytest.mark.parametrize("first,then", [
+        pytest.param(False, True, id="eager-then-lazy"),
+        pytest.param(True, False, id="lazy-then-eager"),
+    ])
+    def test_mode_switch_after_binding_matches_par_loop(self, first, then):
+        def run(cls):
+            app = cls(nx=12, ny=12)
+            for lazy in (first, then, then):
+                with swap(lazy=lazy, lazy_tile=(4, 4)):
+                    app.step()
+                    ops.lazy_flush()
+            st = app.st
+            return {
+                n: getattr(st, n).data.copy()
+                for n in ("density0", "energy0", "pressure", "xvel0", "yvel0")
+            }
+
+        ref = run(ParLoopCloverLeaf)
+        clear_plan_caches()
+        _assert_bitwise(run(CloverLeafApp), ref)
 
 
 def _peek_east(u, v):
