@@ -8,16 +8,22 @@ published with write-to-temp + ``os.replace``, which is atomic on POSIX:
 two processes compiling the same kernel concurrently both succeed and one
 rename wins — no locks, no torn files.
 
-Loading prefers cffi's ABI mode (``ffi.dlopen`` — no setuptools, no
-compile-against-Python) and falls back to ``ctypes.CDLL``.  Both release
-the GIL for the duration of the C call.  A cached ``.so`` that fails to
-dlopen (truncated, wrong arch, corrupted) is unlinked and recompiled
-once; only if that also fails does the loop fall back to vec.
+Loading opens the object with ``ctypes.CDLL`` and calls its entry point
+through a cffi function pointer (ABI mode — no setuptools, no
+compile-against-Python), or through ctypes without cffi.  Both release
+the GIL for the duration of the C call.  A cached ``.so`` that is not an
+ELF object or fails to dlopen (truncated, wrong arch, corrupted) is
+unlinked and recompiled once; only if that also fails does the loop fall
+back to vec.
 
 Compilation flags pin the FP semantics the bitwise guarantee needs:
 ``-ffp-contract=off`` (GCC defaults to ``fast`` in gnu mode, which would
 fuse ``a*b+c`` into FMA and change results) and
-``-fno-unsafe-math-optimizations``.  ``-O2`` is safe under those.
+``-fno-unsafe-math-optimizations``.  ``-O2`` is safe under those, and so
+are the flags that let the generated ``omp simd`` loops vectorise on
+baseline x86-64 (``-fno-math-errno``, ``-fno-tree-sink``,
+``-fno-thread-jumps``): they change which instructions compute a value,
+never the value (SSE2 lanes round exactly like the scalar unit).
 ``-fopenmp`` enables the generated ``omp parallel for`` over row or element
 blocks; the team size is a run-time argument of every call, so one object
 serves every team size and the key does not depend on it.  A compiler that
@@ -64,23 +70,37 @@ class NativeUnavailable(Exception):
         self.reason = reason
 
 
-#: exact flag vector — part of the cache key
+#: exact flag vector — part of the cache key.  No ``-march=native``: the
+#: key hashes the flags and the compiler path, not the CPU, so a shared
+#: cache directory would hand one host's AVX-512 objects to another
 CFLAGS = (
     "-O2",
     "-std=c11",
     "-fPIC",
     "-shared",
+    # no FMA contraction: a*b+c rounds twice, as NumPy's ufuncs do
     "-ffp-contract=off",
     "-fno-unsafe-math-optimizations",
+    # sqrt is one correctly rounded instruction, with no errno call-out
+    # for a negative operand that keeps a loop scalar (same value: NaN)
+    "-fno-math-errno",
+    # the emitter computes both arms of a select before it; sinking an
+    # arm back under a branch would leave the loop scalar
+    "-fno-tree-sink",
+    # threading jumps over selects on one condition rebuilds the branch
+    # (mass_ener_flux_x/y) and leaves the loop scalar
+    "-fno-thread-jumps",
     "-fopenmp",
 )
-#: the flag vector for a compiler without OpenMP: same code, one thread
-SERIAL_CFLAGS = tuple(f for f in CFLAGS if f != "-fopenmp")
+#: the flag vector for a compiler without OpenMP: same code, one thread;
+#: ``-fopenmp-simd`` still honours the ``omp simd`` pragmas
+SERIAL_CFLAGS = tuple(f for f in CFLAGS if f != "-fopenmp") + ("-fopenmp-simd",)
 
 #: why threading declined in a process whose compiler has no OpenMP
 NO_OPENMP = "threads: no OpenMP"
 
-_SIG = "void kernel_run(double **p, const long long **m, const long long *n, double *red, const double *cv);"
+#: the C type of every ``kernel_run`` entry point
+_ENTRY_T = "void (*)(double **, const long long **, const long long *, double *, const double *)"
 
 _lock = threading.Lock()
 _compiler: tuple[bool, str | None] = (False, None)  # (resolved, path)
@@ -217,17 +237,35 @@ class LoadedKernel:
         return self._make(p_addr, m_addr, n_addr, red_addr, cv_addr)
 
 
+_ELF_MAGIC = b"\x7fELF"
+_ffi = None  # one cffi FFI for every kernel, made on the first load
+
+
 def _load_so(path: str, openmp: bool) -> LoadedKernel:
-    """dlopen ``path`` via cffi (preferred) or ctypes."""
+    """dlopen ``path`` via ctypes; call it through cffi (preferred) or ctypes.
+
+    A file without the ELF magic raises :class:`OSError` before any
+    dlopen.  The open itself is ``ctypes.CDLL``, never ``ffi.dlopen``: when
+    dlopen fails, cffi retries through ``ctypes.util.find_library``, which
+    forks ``ldconfig`` from a process that may hold OpenMP threads.
+    """
+    global _ffi
+    with open(path, "rb") as f:
+        if f.read(4) != _ELF_MAGIC:
+            raise OSError(f"{path}: not an ELF object")
+    import ctypes
+
+    lib = ctypes.CDLL(path)
     try:
         import cffi
 
-        ffi = cffi.FFI()
-        ffi.cdef(_SIG)
-        lib = ffi.dlopen(path)
-        raw = lib.kernel_run
+        if _ffi is None:
+            _ffi = cffi.FFI()
+        ffi = _ffi
+        # ``_lib`` below keeps the object mapped while the pointer lives
+        raw = ffi.cast(_ENTRY_T, ctypes.cast(lib.kernel_run, ctypes.c_void_p).value)
 
-        def make(pa, ma, na, ra, ca, _ffi=ffi, _raw=raw):
+        def make(pa, ma, na, ra, ca, _ffi=ffi, _raw=raw, _lib=lib):
             args = (
                 _ffi.cast("double **", pa),
                 _ffi.cast("const long long **", ma),
@@ -240,9 +278,6 @@ def _load_so(path: str, openmp: bool) -> LoadedKernel:
         return LoadedKernel(path, make, openmp)
     except ImportError:
         pass  # no cffi in this environment: ctypes below
-    import ctypes
-
-    lib = ctypes.CDLL(path)
     raw = lib.kernel_run
     raw.restype = None
     raw.argtypes = [ctypes.c_void_p] * 5

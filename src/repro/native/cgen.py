@@ -38,6 +38,31 @@ Transcendentals other than ``sqrt`` (``exp``/``log``/``sin``…) are
 raises :class:`Untranslatable` with a reason string that flows into the
 ``native.fallback`` telemetry instant.
 
+Vectorisation keeps every bit.  Each OPS loop's innermost dimension runs
+under ``#pragma omp simd``, which SSE2 lanes execute with the scalar
+unit's IEEE rounding; what makes the loop vectorisable changes no value:
+
+* dat pointers are ``restrict``: admission proves that no written dat's
+  storage overlaps another argument's, so there is no aliasing to respect;
+* ``cv`` constants are read once, into ``const double c<j>``, before the
+  nest — the same doubles;
+* conditions join with ``&``/``|`` instead of ``&&``/``||`` — they are pure
+  and 0/1 valued, so the truth value is the same, without a branch;
+* both arms of a ternary or ``np.where`` are computed into temporaries
+  before the select: the selected value is the one the branch would have
+  computed, and every load in either arm is proven in bounds;
+* a min/max reduction no longer carries a register across points: each
+  point folds into its own register (from the identity, which the select
+  leaves unchanged), stores it into a fixed 256-double row chunk
+  (:data:`CHUNK`), and the chunk folds into the running register serially,
+  in point order, right after the chunk — the single-thread fold's order;
+* ``sqrt`` compiles to one instruction under ``-fno-math-errno`` (see
+  :mod:`.cache`): the same correctly rounded value, and the same NaN for a
+  negative operand, minus the ``errno`` call-out that kept loops scalar.
+
+Contraction stays off (``-ffp-contract=off``).  Staged ``.inc()`` sums are
+untouched: the stage is still written point by point and summed by NumPy.
+
 Scalar constants that are not part of the kernel *source* — closure
 cells, module globals, defaulted trailing parameters — are never baked
 into the C text.  They are loaded from the ``cv`` (constant-vector)
@@ -251,18 +276,23 @@ _FLOAT_FNS = (float, np.float64)
 
 
 def _np_select(keep: str, other: str, op: str) -> str:
-    """NumPy's minimum/maximum C loop: ``(a OP b || a != a) ? a : b``.
+    """NumPy's minimum/maximum C loop, ``(a OP b || a != a) ? a : b``,
+    spelled branch-free: ``((a OP b) | (a != a)) ? a : b``.
 
     The first operand's NaN propagates, else the second operand wins ties
     and propagates its NaN (the select falls through to it).  As a fold
     this keeps the first NaN, else the last extreme: associative bit for
     bit, with ±inf as identity, so folds over blocks combine exactly.
     """
-    return f"(({keep} {op} {other} || {keep} != {keep}) ? {keep} : {other})"
+    return f"((({keep} {op} {other}) | ({keep} != {keep})) ? {keep} : {other})"
 
 
 #: the register a block's min/max fold starts from
 _IDENTITY = {"min": "INFINITY", "max": "-INFINITY"}
+
+#: innermost-dimension points per row chunk of an ops loop with min/max
+#: reductions: the chunk's point values are buffered, then folded in order
+CHUNK = 256
 
 
 def _subexprs(e) -> list:
@@ -306,9 +336,12 @@ class _Emitter:
 
     # -- constant-vector slots ----------------------------------------------
 
+    #: how the body spells cv slot ``j`` (ops reads each into a local first)
+    CONST = "cv[{}]"
+
     def _cv(self, tagged: str) -> str:
         j = self.const_slots.setdefault(tagged, len(self.const_slots))
-        return f"cv[{j}]"
+        return self.CONST.format(j)
 
     def free_scalar(self, dotted: str) -> str:
         """A free name that must resolve to a Python/NumPy scalar → cv slot."""
@@ -342,7 +375,7 @@ class _Emitter:
                 # the vec path feeds the original kernel whole arrays; a
                 # per-point ternary only has array semantics via np.where
                 raise Untranslatable("data-dependent ternary (use np.where)")
-            return f"({self.cond(e.test)} ? {self.value(e.body)} : {self.value(e.orelse)})"
+            return self._select(e.test, e.body, e.orelse)
         if isinstance(e, ECall):
             return self._call(e)
         if isinstance(e, ECmp):
@@ -386,11 +419,26 @@ class _Emitter:
             raise Untranslatable("general ** has no bitwise C equivalent")
         raise Untranslatable(f"operator {e.op!r} has no bitwise C equivalent")
 
+    def _select(self, test, body, orelse) -> str:
+        """``body if test else orelse``: both arms into temporaries, then a
+        select — no branch for the vectoriser to keep (``np.where`` computes
+        both arms too, and every load in either is proven in bounds)."""
+        c = self.cond(test)
+        a, b = self._fresh(), self._fresh()
+        self.emit(f"const double {a} = {self.value(body)};")
+        self.emit(f"const double {b} = {self.value(orelse)};")
+        return f"({c} ? {a} : {b})"
+
     def cond(self, e) -> str:
-        """Emit ``e`` as an int-valued C condition."""
+        """Emit ``e`` as a 0/1-valued C condition.
+
+        Conditions are pure and 0/1 valued, so ``and``/``or`` (and chained
+        comparisons) join with the non-short-circuit ``&``/``|``: the same
+        truth value, without a branch per operand.
+        """
         if isinstance(e, ECmp):
             if e.ops and e.ops[0] in ("and", "or"):
-                j = " && " if e.ops[0] == "and" else " || "
+                j = " & " if e.ops[0] == "and" else " | "
                 return "(" + j.join(self.cond(v) for v in e.operands) + ")"
             if not e.ops or len(e.ops) != len(e.operands) - 1:
                 raise Untranslatable("comparison with unknown operators")
@@ -401,7 +449,7 @@ class _Emitter:
                 parts.append(
                     f"({self.value(e.operands[i])} {op} {self.value(e.operands[i + 1])})"
                 )
-            return "(" + " && ".join(parts) + ")"
+            return "(" + " & ".join(parts) + ")"
         if isinstance(e, EUn) and e.op == "not":
             return f"(!{self.cond(e.operand)})"
         if isinstance(e, EConst) and isinstance(e.value, bool):
@@ -493,10 +541,7 @@ class _Emitter:
             return acc
         if _is(_WHERE_FNS):
             self._arity(e, 3)
-            return (
-                f"({self.cond(e.args[0])} ? {self.value(e.args[1])}"
-                f" : {self.value(e.args[2])})"
-            )
+            return self._select(*e.args)
         raise Untranslatable(f"call to {e.func!r} has no bitwise C equivalent")
 
     @staticmethod
@@ -631,6 +676,8 @@ class _Emitter:
 # -- ops generator ------------------------------------------------------------
 
 class _OpsEmitter(_Emitter):
+    CONST = "c{}"
+
     def __init__(self, fn, ir, binds, ndim: int):
         super().__init__(fn, ir, binds, "ops")
         self.ndim = ndim
@@ -703,14 +750,16 @@ class _OpsEmitter(_Emitter):
         if b.kind == "inc":
             self._stage_inc(s, b)
             return
+        # the point's own register x<j>, from the fold identity, is stored
+        # to the row-chunk buffer after the body
         op = "<" if b.kind == "min" else ">"
-        j = self.red_regs[s.param]
+        x = f"x{self.red_regs[s.param]}"
         for a in s.args:
             t = self._fresh()
             self.emit(f"const double {t} = {self.value(a)};")
-            # np.min folds rows sequentially with the NumPy select: the
-            # running register propagates its NaN, else the new value wins ties
-            self.emit(f"r{j} = {_np_select(f'r{j}', t, op)};")
+            # np.min folds sequentially with the NumPy select: the
+            # register propagates its NaN, else the new value wins ties
+            self.emit(f"{x} = {_np_select(x, t, op)};")
 
     def _stage_inc(self, s: SFold, b: _Bind) -> None:
         """``red.inc(expr)``: store ``expr`` per point; the plan layer sums.
@@ -754,6 +803,9 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
     Every admitted OPS loop splits its outermost dimension over the team
     size ``n[ndim + 1]``: admission leaves only centre-only, unaliased
     written dats and per-point ``.inc()`` stages, so rows are independent.
+    The same independence lets the innermost dimension run under ``omp
+    simd``, in :data:`CHUNK`-point row chunks when min/max reductions fold
+    (see "Vectorisation keeps every bit" above).
     """
     fn = getattr(fn, "func", fn)
     ir = ir_for_callable(fn)
@@ -790,9 +842,11 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
 
     decls: list[str] = []
     for j, (_, k) in enumerate(ptr_spec):
-        decls.append(f"    double *p{k} = p[{j}];")
+        # admission proves no written dat's storage overlaps another
+        # argument's, which is what restrict promises
+        decls.append(f"    double *restrict p{k} = p[{j}];")
     if em.stages:
-        decls.append(f"    double *q = p[{len(ptr_spec)}];")
+        decls.append(f"    double *restrict q = p[{len(ptr_spec)}];")
         decls.append(f"    const long long sel = n[{ndim}];")
         ptr_spec.append(("stage", None))
     si = 0
@@ -800,18 +854,53 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
         for d in range(ndim - 1):
             decls.append(f"    const long long s{k}_{d} = m[0][{si}];")
             si += 1
+    decls += [f"    const double c{j} = cv[{j}];" for j in range(len(em.const_slots))]
     for j, (_, _k, kind) in enumerate(red_spec):
-        decls.append(f"    double r{j} = {_IDENTITY[kind]};")
+        decls.append(f"    double r{j} = {_IDENTITY[kind]}, w{j}[{CHUNK}];")
     for d in range(1, ndim):
         decls.append(f"    const long long n{d} = n[{d}];")
 
-    nest_open = ["    for (long long i0 = lo; i0 < hi; ++i0) {"] + [
-        "    " * (d + 1) + f"for (long long i{d} = 0; i{d} < n{d}; ++i{d}) {{"
-        for d in range(1, ndim)
+    def ind(level: int) -> str:
+        return "    " * level
+
+    # the outer dimensions, then the innermost one under `omp simd`; with
+    # min/max reductions it runs in row chunks whose point values land in
+    # w<j>, folded in order right after the chunk: the serial fold's order
+    last = ndim - 1
+    bounds = [("lo", "hi")] + [("0", f"n{d}") for d in range(1, ndim)]
+    nest = [
+        ind(d + 1) + f"for (long long i{d} = {lo}; i{d} < {hi}; ++i{d}) {{"
+        for d, (lo, hi) in enumerate(bounds[:last])
     ]
-    local_decls = ["    " * (ndim + 1) + f"double l_{nm};" for nm in em.declared_locals()]
-    body_lines = ["    " + ln for ln in em.lines]
-    nest_close = ["    " * (d + 1) + "}" for d in range(ndim - 1, -1, -1)]
+    level = ndim
+    lo, hi = bounds[last]
+    if red_spec:
+        nest += [
+            ind(level) + f"for (long long b = {lo}; b < {hi}; b += {CHUNK}) {{",
+            ind(level + 1) + f"const long long e = b + {CHUNK} < {hi} ? b + {CHUNK} : {hi};",
+        ]
+        level += 1
+        lo, hi = "b", "e"
+    nest += [
+        "#pragma omp simd",
+        ind(level) + f"for (long long i{last} = {lo}; i{last} < {hi}; ++i{last}) {{",
+    ]
+    inner = ind(level + 1)
+    nest += [inner + f"double l_{nm};" for nm in em.declared_locals()]
+    nest += [
+        inner + f"double x{j} = {_IDENTITY[kind]};" for j, (*_, kind) in enumerate(red_spec)
+    ]
+    # the emitter indents the body for ndim loops
+    nest += [ind(level + 1 - ndim) + ln for ln in em.lines]
+    nest += [inner + f"w{j}[i{last} - b] = x{j};" for j in range(len(red_spec))]
+    nest.append(ind(level) + "}")
+    if red_spec:
+        nest.append(ind(level) + "for (long long k = 0; k < e - b; ++k) {")
+        for j, (*_, kind) in enumerate(red_spec):
+            op = "<" if kind == "min" else ">"
+            nest.append(ind(level + 1) + f"r{j} = {_np_select(f'r{j}', f'w{j}[k]', op)};")
+        nest.append(ind(level) + "}")
+    nest += [ind(d) + "}" for d in range(level - 1, 0, -1)]
     epilogue = [f"    r[{j}] = r{j};" for j in range(len(red_spec))]
 
     source = "\n".join(
@@ -825,10 +914,7 @@ def generate_ops(fn, argspecs, ndim: int, loop_name: str) -> NativeCode:
             "{",
             "    (void)p; (void)m; (void)n; (void)cv; (void)r;",
             *decls,
-            *nest_open,
-            *local_decls,
-            *body_lines,
-            *nest_close,
+            *nest,
             *epilogue,
             "}",
             "",

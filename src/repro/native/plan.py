@@ -21,8 +21,9 @@ The admission ladder, in order:
    in C — the kernel fills a stage and ``execute`` reduces it
    with the NumPy call the vec tier makes (``Global.accumulate`` /
    ``Reduction.inc``), and a global may be written through one argument
-   only; written dats must not alias other arguments
-   (op2 allows multi-arg writes only when every access to that dat is
+   only; written dats must not alias other arguments (ops: neither as the
+   same ``Dat`` nor through shared storage — the C declares its dat
+   pointers ``restrict``; op2 allows multi-arg writes only when every access to that dat is
    indirect, which the two-phase schedule orders exactly like the vec
    scatters); ops written dats must have centre-only proven extents (the
    per-element/per-statement execution orders coincide only then).
@@ -346,12 +347,23 @@ def _build_ops(kernel, ranges, args, loop_name: str) -> NativeOpsLoop:
             raise _cgen.Untranslatable("argument is neither dat nor reduction")
 
     # aliasing: a written dat must be referenced by exactly one argument —
-    # vec's per-statement order and C's per-element order only coincide then
+    # vec's per-statement order and C's per-element order only coincide
+    # then — and its storage must overlap no other argument's, which the
+    # C's restrict pointers promise (two dats can share one buffer through
+    # adopt_storage or the data setter).  A rebound storage fails the
+    # site's guard, and the rebuilt site comes back through here
     for k, (spec, dat) in enumerate(zip(argspecs, dat_of)):
         if dat is None or not (spec[0] == "dat" and spec[1]):
             continue
         if any(d is dat for j, d in enumerate(dat_of) if j != k):
             raise _cgen.Untranslatable("written dat aliased by another argument")
+        if any(
+            d is not None and np.may_share_memory(dat._storage, d._storage)
+            for j, d in enumerate(dat_of) if j != k
+        ):
+            raise _cgen.Untranslatable(
+                f"written dat {dat.name} shares storage with another argument"
+            )
 
     params = _cgen.ir_for_callable(fn).params
     if len(args) > len(params):

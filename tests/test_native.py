@@ -1136,6 +1136,179 @@ class TestThreadedMinMax:
                 assert _bits(sel(sel(np.inf, parts[0]), parts[1])) == _bits(whole)
 
 
+# ---------------------------------------------------------------------------
+# fold order: the row-chunk buffers keep the serial fold's bits
+# ---------------------------------------------------------------------------
+
+
+def _fold1(a, b, lo, hi):
+    lo.min(a[0])
+    hi.max(b[0])
+
+
+def _fold2(a, b, lo, hi):
+    lo.min(a[0, 0])
+    hi.max(b[0, 0])
+
+
+def _fold3(a, b, lo, hi):
+    lo.min(a[0, 0, 0])
+    hi.max(b[0, 0, 0])
+
+
+_FOLD_KERNELS = {1: _fold1, 2: _fold2, 3: _fold3}
+
+#: innermost widths around the C's 256-point row chunk
+_FOLD_WIDTHS = (1, 255, 256, 257, 513)
+
+
+def _serial_fold(values, kind: str) -> float:
+    """The single-thread C fold over ``values`` in order: the first NaN
+    met, else the last extreme (a tie goes to the later operand)."""
+    r = np.inf if kind == "min" else -np.inf
+    for x in values:
+        if not ((r < x if kind == "min" else r > x) or r != r):
+            r = x
+    return r
+
+
+def _edges(n: int, *, chunks: bool, splits: bool) -> list:
+    """Indices of one dimension of extent ``n`` where a fold can go wrong:
+    its ends, the row-chunk edges and the rows where teams of 2 and 3 cut."""
+    marks = {0, n - 1}
+    if chunks:
+        marks |= {254, 255, 256, 257, 511, 512}
+    if splits:
+        for nt in (2, 3):
+            for t in range(1, nt):
+                cut = n * t // nt
+                marks |= {cut - 1, cut}
+                if chunks:  # chunks restart at each thread's first point
+                    marks |= {cut + 255, cut + 256}
+    return sorted(m for m in marks if 0 <= m < n)
+
+
+def _fold_field(shape: tuple, case: str, seed: int = 3) -> np.ndarray:
+    """A min field: values in [1, 2) (``"infs"``: all +inf, the identity)
+    with the case's plants at every mark, cycling in fold order.
+
+    ``zero_ties`` alternates -0.0/+0.0, so the result's sign names the
+    last zero met; ``nans`` plants zeros, then a distinct NaN payload at
+    every mark of the second half, so the result names the first NaN
+    met; ``infs`` alternates -inf/+inf."""
+    ndim = len(shape)
+    per_dim = [
+        _edges(n, chunks=d == ndim - 1, splits=d == 0) for d, n in enumerate(shape)
+    ]
+    marks = list(np.ndindex(*(len(m) for m in per_dim)))
+    points = [tuple(per_dim[d][i] for d, i in enumerate(ix)) for ix in marks]
+    rng = np.random.default_rng(seed)
+    if case == "infs":
+        x = np.full(shape, np.inf)
+    else:
+        x = rng.uniform(1.0, 2.0, shape)
+    half = len(points) // 2
+    for j, pt in enumerate(points):
+        if case == "infs":
+            x[pt] = (-np.inf, np.inf)[j % 2]
+        elif case == "nans" and j >= half:
+            x[pt] = _nan(j + 1)
+        else:
+            x[pt] = (-0.0, 0.0)[j % 2]
+    return x
+
+
+def _copy2(a, b):
+    b[0, 0] = a[0, 0]
+
+
+def _run_fold(kernel, shape: tuple, case: str, tile=None) -> dict:
+    """``kernel`` over the whole field: ``{"lo": min, "hi": max}``.  With
+    a ``tile``, a lazy copy loop queues first and the fold fuses with it,
+    so the fold runs tile by tile (a lone loop is not tiled)."""
+    ndim = len(shape)
+    blk = ops.Block(ndim)
+    u = ops.Dat(blk, shape, halo_depth=1, name="u")
+    w = ops.Dat(blk, shape, halo_depth=1, name="w")
+    field = _fold_field(shape, case)
+    u.interior[...] = field
+    w.interior[...] = -field
+    lo, hi = ops.Reduction("min"), ops.Reduction("max")
+    ranges = [(0, n) for n in shape]
+    with swap(lazy=tile is not None, lazy_tile=tile):
+        if tile is not None:
+            v = ops.Dat(blk, shape, halo_depth=1, name="v")
+            ops.par_loop(_copy2, blk, ranges, u(ops.READ), v(ops.WRITE), backend="vec")
+            u = v
+        ops.par_loop(kernel, blk, ranges, u(ops.READ), w(ops.READ), lo, hi, backend="vec")
+        out = {"lo": np.asarray([lo.value]), "hi": np.asarray([hi.value])}
+    return out
+
+
+class TestFoldOrder:
+    """Min/max reductions fold a 256-point row chunk at a time: NaNs,
+    ±0 ties and ±inf planted at chunk edges and team cuts come out with
+    the serial fold's bits at every team size, in 1-, 2- and 3-D loops and
+    on lazy tiles.  NumPy's ``np.min`` is not a serial fold (its SIMD
+    reduce orders lanes its own way), so against vec the values must be
+    equal, and against the serial fold the bits."""
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["zero_ties", "nans", "infs"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_bitwise_at_teams_1_to_3(self, threads_everywhere, ndim, case):
+        kernel = _FOLD_KERNELS[ndim]
+        outer = {1: (), 2: (7,), 3: (5, 2)}[ndim]
+        for width in _FOLD_WIDTHS:
+            shape = (*outer, width)
+            field = _fold_field(shape, case)
+            want = {
+                "lo": np.asarray([_serial_fold(field.ravel(), "min")]),
+                "hi": np.asarray([_serial_fold((-field).ravel(), "max")]),
+            }
+            states, counters = _at_teams(
+                threads_everywhere, lambda: _run_fold(kernel, shape, case), (1, 2, 3)
+            )
+            for team, (got, c) in enumerate(zip(states, counters), 1):
+                assert c.native_calls == 1 and c.native_declines == {}, (shape, team)
+                _assert_bitwise(got, want)
+            clear_plan_caches()
+            with swap(native=False):
+                vec = _run_fold(kernel, shape, case)
+            np.testing.assert_array_equal(states[0]["lo"], vec["lo"])
+            np.testing.assert_array_equal(states[0]["hi"], vec["hi"])
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["zero_ties", "nans", "infs"])
+    def test_lazy_tiles(self, threads_everywhere, case):
+        """Tiles of (4, 300) points: each is a sub-range whose chunks start
+        at its own first column; tiles fold in row-major tile order."""
+        shape, tile = (8, 700), (4, 300)
+        field = _fold_field(shape, case)
+        order = [
+            field[r0:r0 + tile[0], c0:c0 + tile[1]].ravel()
+            for r0 in range(0, shape[0], tile[0])
+            for c0 in range(0, shape[1], tile[1])
+        ]
+        values = np.concatenate(order)
+        want = {
+            "lo": np.asarray([_serial_fold(values, "min")]),
+            "hi": np.asarray([_serial_fold(-values, "max")]),
+        }
+        states, counters = _at_teams(
+            threads_everywhere, lambda: _run_fold(_fold2, shape, case, tile), (1, 2, 3)
+        )
+        for got, c in zip(states, counters):
+            # both loops run every tile natively
+            assert c.lazy_tiles == len(order) and c.native_calls == 2 * len(order)
+            _assert_bitwise(got, want)
+        clear_plan_caches()
+        with swap(native=False):
+            vec = _run_fold(_fold2, shape, case)
+        np.testing.assert_array_equal(states[0]["lo"], vec["lo"])
+        np.testing.assert_array_equal(states[0]["hi"], vec["hi"])
+
+
 class TestReductionFold:
     """``ops.Reduction`` min/max fold like ``np.minimum``/``np.maximum``,
     the native C select: a NaN propagates, and a ±0 tie ends on the same
@@ -1312,6 +1485,59 @@ class TestDegradation:
         assert not cached  # recompiled, not loaded stale
         assert kern.make_call is not None
 
+    @requires_cc
+    @pytest.mark.parametrize("planted", [b"not an ELF object", b"\x7fELF truncated"])
+    def test_corrupt_object_never_reaches_find_library(self, monkeypatch, planted):
+        """A bad cached object is rejected (no ELF magic) or fails to
+        dlopen, and recompiles without cffi's ``find_library`` retry, which
+        forks ``ldconfig`` from a process that may hold OpenMP threads."""
+        import ctypes.util
+        import os
+
+        def forbidden(name):
+            raise AssertionError(f"find_library({name!r}) called")
+
+        monkeypatch.setattr(ctypes.util, "find_library", forbidden)
+        code = ncgen.generate_ops(_square_kernel, [("dat", True)], 1, "corrupt_fl")
+        so = self._plant_corrupt_object(code.source)
+        with open(so, "wb") as f:
+            f.write(planted)
+        kern, cached = ncache.load_kernel(code.source)
+        assert not cached
+        with open(kern.path, "rb") as f:
+            assert f.read(4) == b"\x7fELF"
+        assert os.path.getsize(kern.path) > len(planted)
+
+    @requires_cc
+    def test_shared_storage_declines(self):
+        """Two dats on one buffer (``adopt_storage``): a loop writing one and
+        reading the other would break the C's ``restrict`` promise, so it
+        declines once, with a reason, and runs vec's bits."""
+        def scale(x, y):
+            x[0, 0] = y[0, 0] * 2.0 + 1.0
+
+        def run(native):
+            clear_plan_caches()
+            blk = ops.Block(2)
+            a = ops.Dat(blk, (6, 5), halo_depth=1, name="a")
+            b = ops.Dat(blk, (6, 5), halo_depth=1, name="b")
+            a.interior[...] = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 5))
+            b.adopt_storage(a.data)
+            c = PerfCounters()
+            with counters_scope(c), swap(native=native):
+                for _ in range(2):
+                    ops.par_loop(scale, blk, [(0, 6), (0, 5)], a(ops.WRITE), b(ops.READ),
+                                 backend="vec")
+            return a.data.copy(), c
+
+        got, c = run(True)
+        assert c.native_calls == 0 and c.native_fallbacks == 1
+        assert c.native_declines == {
+            ("ops", "scale"): "written dat a shares storage with another argument"
+        }
+        want, _ = run(False)
+        _assert_bitwise({"a": got}, {"a": want})
+
     def test_corrupt_object_without_compiler_raises(self, monkeypatch):
         code = ncgen.generate_ops(_square_kernel, [("dat", True)], 1, "corrupt_nc")
         self._plant_corrupt_object(code.source)
@@ -1396,8 +1622,9 @@ class TestCodegen:
             t.min(a[0])
 
         code = ncgen.generate_ops(k, [("dat", False), ("red", "min")], 1, "mn")
-        # accumulator keeps ties and propagates NaN: (r < t || r != r) ? r : t
-        assert "|| r0 != r0) ? r0 :" in code.source
+        # the register keeps its NaN, else the chunk's next value wins ties,
+        # spelled branch-free: ((r < w) | (r != r)) ? r : w
+        assert "r0 = (((r0 < w0[k]) | (r0 != r0)) ? r0 : w0[k]);" in code.source
 
     def test_closure_scalars_go_through_cv(self):
         dt = 0.125
@@ -1488,6 +1715,93 @@ class TestCodegen:
         assert code.source.index("s1[0] +=") < code.source.index(
             "p1[row1 * 1 + 0] += s1[0];")
         assert "long long w1" not in code.source
+
+    @staticmethod
+    def _ops_units(monkeypatch) -> dict:
+        """Loop name -> generated C of every OPS loop CloverLeaf (2-D, with
+        its field summary), CloverLeaf 3-D and Sod (1-D) admit."""
+        from repro.apps.cloverleaf import CloverLeafApp
+        from repro.apps.cloverleaf3d.app import CloverLeaf3DApp
+        from repro.apps.sod.app import SodApp
+
+        units = {}
+        generate = ncgen.generate_ops
+
+        def capture(fn, argspecs, ndim, loop_name):
+            code = generate(fn, argspecs, ndim, loop_name)
+            units[loop_name] = code.source
+            return code
+
+        monkeypatch.setattr(ncgen, "generate_ops", capture)
+        # generation precedes the compile, which is not needed here
+        monkeypatch.setattr(ncache, "find_compiler", lambda: None)
+        clear_plan_caches()
+        with swap(native=True):
+            CloverLeafApp(nx=12, ny=10, backend="vec").run(1)
+            CloverLeaf3DApp(6, 5, 4).run(1)
+            SodApp(n=40, backend="vec").step()
+        clear_plan_caches()
+        return units
+
+    @staticmethod
+    def _sweep(source: str) -> str:
+        start = source.index("static void sweep(")
+        return source[start:source.index("\n}\n", start)]
+
+    def test_every_ops_unit_is_vectorisable(self, monkeypatch):
+        """restrict dat pointers, constants read before the nest, ``omp
+        simd`` on the innermost loop and no short-circuit in the body."""
+        import re
+
+        units = self._ops_units(monkeypatch)
+        assert len(units) >= 30 and "calc_dt" in units and "field_summary" in units
+        for name, source in units.items():
+            sweep = self._sweep(source)
+            ndim = int(re.search(r"(\d)-D nest", source).group(1))
+            assert "double *restrict p" in sweep, name
+            assert not re.search(r"double \*(?!restrict)\w+ = p\[", sweep), name
+            nest = sweep[min(sweep.index("    for ("), sweep.index("#pragma omp simd")):]
+            assert "cv[" not in nest, name
+            lines = nest.splitlines()
+            simd = [i for i, ln in enumerate(lines) if ln == "#pragma omp simd"]
+            assert len(simd) == 1, name
+            loop = lines[simd[0] + 1].strip()
+            assert loop.startswith(f"for (long long i{ndim - 1} = "), name
+            # nothing inside it is another dimension of the nest
+            assert not any(ln.strip().startswith("for (long long i") for ln in lines[simd[0] + 2:])
+            assert "&&" not in sweep and "||" not in sweep, name
+
+    @requires_cc
+    def test_gcc_vectorises_the_innermost_loops(self, monkeypatch, tmp_path):
+        """GCC's own report, under the cache's flags: the innermost loops of
+        calc_dt (a min fold), viscosity (a select with an arithmetic arm)
+        and pdv_correct vectorise on baseline x86-64."""
+        import re
+
+        cc = ncache.find_compiler()
+        version = subprocess.run([cc, "--version"], capture_output=True, text=True).stdout
+        if "Free Software Foundation" not in version or "clang" in version:
+            pytest.skip("vectorisation report is GCC's")
+        units = self._ops_units(monkeypatch)
+        for name in ("calc_dt", "viscosity", "pdv_correct"):
+            src = tmp_path / f"{name}.c"
+            src.write_text(units[name])
+            # the innermost loop's 1-based lines: its header to its brace
+            lines = units[name].splitlines()
+            head = lines.index("#pragma omp simd") + 1
+            indent = lines[head][: len(lines[head]) - len(lines[head].lstrip())]
+            close = lines.index(indent + "}", head)
+            proc = subprocess.run(
+                [cc, *ncache.CFLAGS, "-fopt-info-vec-optimized", "-o",
+                 str(tmp_path / f"{name}.so"), str(src), "-lm"],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            vectorised = {
+                int(m.group(1))
+                for m in re.finditer(r"\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)
+            }
+            assert any(head < ln <= close + 1 for ln in vectorised), (name, proc.stderr)
 
     def test_cache_key_covers_source_and_flags(self):
         k1 = ncache.source_key("int x;")
