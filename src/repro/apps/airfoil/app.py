@@ -2,7 +2,9 @@
 
 One outer iteration is save_soln followed by two Runge-Kutta-like inner
 sweeps of adt_calc, res_calc, bres_calc, update — the 9-loop periodic
-sequence the speculative checkpoint placement detects.
+sequence the speculative checkpoint placement detects.  The chain is
+declared once, as ``op2.loop`` sites on the global mesh; a distributed run
+replays the same sites as rank handles (``RankMesh.loops``).
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ class AirfoilApp:
         self.mesh = mesh if mesh is not None else generate_mesh(nx, ny, jitter=jitter)
         self.backend = backend
         self.rms = op2.Global(1, 0.0, name="rms")
-        self._sites: tuple | None = None  # iteration()'s op2.loop handles
+        self._sites: tuple | None = None  # see iteration_loops()
 
-    # -- one outer iteration, serial ------------------------------------------------
+    # -- the loop chain, serial or on a rank ------------------------------------------
 
-    def iteration(self) -> None:
-        """One outer iteration; its five loop sites are bound on first use."""
+    def iteration_loops(self) -> tuple:
+        """The chain's five ``op2.loop`` sites on the global mesh, bound on first use."""
         if self._sites is None:
             m = self.mesh
             be = self.backend
@@ -101,13 +103,22 @@ class AirfoilApp:
                     backend=be,
                 ),
             )
-        save_soln, adt_calc, res_calc, bres_calc, update = self._sites
+        return self._sites
+
+    def iteration(self) -> None:
+        """One outer iteration."""
+        self._iterate(self.iteration_loops(), self.rms)
+
+    def _iterate(self, loops: tuple, rms: op2.Global) -> None:
+        """One outer iteration of ``loops``, serial sites or rank handles;
+        ``rms`` is the residual global they reduce into."""
+        save_soln, adt_calc, res_calc, bres_calc, update = loops
         save_soln()
         for _ in range(self.RK_STEPS):
             adt_calc()
             res_calc()
             bres_calc()
-            self.rms.data[:] = 0.0
+            rms.data[:] = 0.0
             update()
 
     def run(self, iterations: int) -> float:
@@ -137,61 +148,9 @@ class AirfoilApp:
 
     def run_distributed(self, comm: SimComm, pm, iterations: int) -> float:
         """SPMD body: run the loop chain on one rank of a partitioned mesh."""
-        m = self.mesh
         rm = pm.local(comm.rank)
-        be = self.backend
-        lrms = rm.local_global(self.rms)
+        loops = rm.loops(comm, self.iteration_loops())
+        rms = rm.local_global(self.rms)
         for _ in range(iterations):
-            rm.par_loop(comm, K_SAVE_SOLN, m.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be)
-            for _ in range(self.RK_STEPS):
-                rm.par_loop(
-                    comm,
-                    K_ADT_CALC,
-                    m.cells,
-                    m.x(op2.READ, m.cell2node, 0),
-                    m.x(op2.READ, m.cell2node, 1),
-                    m.x(op2.READ, m.cell2node, 2),
-                    m.x(op2.READ, m.cell2node, 3),
-                    m.q(op2.READ),
-                    m.adt(op2.WRITE),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm,
-                    K_RES_CALC,
-                    m.edges,
-                    m.x(op2.READ, m.edge2node, 0),
-                    m.x(op2.READ, m.edge2node, 1),
-                    m.q(op2.READ, m.edge2cell, 0),
-                    m.q(op2.READ, m.edge2cell, 1),
-                    m.adt(op2.READ, m.edge2cell, 0),
-                    m.adt(op2.READ, m.edge2cell, 1),
-                    m.res(op2.INC, m.edge2cell, 0),
-                    m.res(op2.INC, m.edge2cell, 1),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm,
-                    K_BRES_CALC,
-                    m.bedges,
-                    m.x(op2.READ, m.bedge2node, 0),
-                    m.x(op2.READ, m.bedge2node, 1),
-                    m.q(op2.READ, m.bedge2cell, 0),
-                    m.adt(op2.READ, m.bedge2cell, 0),
-                    m.res(op2.INC, m.bedge2cell, 0),
-                    m.bound(op2.READ),
-                    backend=be,
-                )
-                lrms.data[:] = 0.0
-                rm.par_loop(
-                    comm,
-                    K_UPDATE,
-                    m.cells,
-                    m.qold(op2.READ),
-                    m.q(op2.WRITE),
-                    m.res(op2.RW),
-                    m.adt(op2.READ),
-                    lrms(op2.INC),
-                    backend=be,
-                )
-        return float(np.sqrt(lrms.value / self.mesh.cells.size))
+            self._iterate(loops, rms)
+        return float(np.sqrt(rms.value / self.mesh.cells.size))

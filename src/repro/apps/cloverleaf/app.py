@@ -7,9 +7,9 @@ quantities and momentum (x then y sweep), field reset.  Boundary
 conditions are reflective free-slip, applied into the ghost layers before
 the kernels that read them.
 
-The serial app binds each loop site once, as an ``ops.loop`` handle, the
-first time a step reaches it, and replays it on every later step; the five
-sites whose kernels capture ``dt`` are rebound whenever ``dt`` changes.
+The app binds each loop site once — an ``ops.loop`` handle, or on a rank a
+``LocalBlock.loop`` handle — the first time a step reaches it, and replays
+it on every later step; the five ``dt``-capturing sites rebind when it changes.
 """
 
 from __future__ import annotations
@@ -416,12 +416,12 @@ class CloverLeafApp:
 class DistributedCloverLeafApp(CloverLeafApp):
     """CloverLeaf on a cartesian-decomposed block (SPMD, one instance per rank).
 
-    Reuses the serial driver's loop chain verbatim: loops are routed
-    through the rank's :class:`~repro.ops.decomp.LocalBlock` (which
-    intersects ranges, exchanges halos on demand and combines reductions),
-    and reflective boundaries are applied only on the ranks touching the
-    physical domain edges — interior partition boundaries are filled by
-    halo exchange.
+    Reuses the serial driver's loop chain and site cache verbatim: each
+    site is bound as a rank handle of the rank's
+    :class:`~repro.ops.decomp.LocalBlock` (which intersects ranges once,
+    exchanges halos on demand and combines reductions), and reflective
+    boundaries are applied only on the ranks touching the physical domain
+    edges — interior partition boundaries are filled by halo exchange.
     """
 
     def __init__(self, comm, decomp, state: CloverState, *, backend: str = "vec"):
@@ -436,24 +436,12 @@ class DistributedCloverLeafApp(CloverLeafApp):
         self._lo_y = coords[1] == 0
         self._hi_y = coords[1] == decomp.dims[1] - 1
 
-    def _site(self, key, bind):
-        # no replay: every call rebuilds its arguments for the rank's LocalBlock
-        return bind()
-
     def _loop(self, kernel, ranges, *args, name: str, flops: int = 0):
-        def rank_loop(*reductions):
-            # bound per call, so this call's reductions are already in args
-            self.lb.par_loop(
-                self.comm,
-                kernel,
-                ranges,
-                *args,
-                backend=self.backend,
-                name=name,
-                flops_per_point=flops,
-            )
-
-        return rank_loop
+        """The loop as a rank handle on this rank's block (same sites, same cache)."""
+        return self.lb.loop(
+            self.comm, kernel, ranges, *args,
+            backend=self.backend, name=name, flops_per_point=flops,
+        )
 
     def _apply_bcs(self, fields: list[str], depth: int = 2) -> None:
         for fname in fields:

@@ -48,6 +48,7 @@ class HydraApp:
         self.backend = backend
         self.rms = op2.Global(1, 0.0, name="h_rms")
         self.alpha = op2.Global(1, 1.0, name="h_alpha")
+        self._sites: tuple | None = None  # see iteration_loops()
 
     # -- optimisations (paper Fig 3's OP2 bars) ---------------------------------------
 
@@ -57,105 +58,135 @@ class HydraApp:
 
         self.mesh.permute_cells(rcm_permutation(self.mesh.fine.edge2cell))
 
-    # -- serial loop chain ------------------------------------------------------------
+    # -- the loop chain, serial or on a rank ------------------------------------------
+
+    def iteration_loops(self) -> tuple:
+        """The chain's thirteen ``op2.loop`` sites on the global mesh, in
+        program order, bound on first use."""
+        if self._sites is None:
+            m = self.mesh
+            f = m.fine
+            be = self.backend
+            self._sites = (
+                op2.loop(K_SAVE, f.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be),
+                op2.loop(K_VPREP, f.cells, m.q(op2.READ), m.visc(op2.WRITE), backend=be),
+                # the Runge-Kutta stage
+                op2.loop(K_GRAD_ZERO, f.cells, m.grad(op2.WRITE), backend=be),
+                op2.loop(
+                    K_GRAD,
+                    f.edges,
+                    f.x(op2.READ, f.edge2node, 0),
+                    f.x(op2.READ, f.edge2node, 1),
+                    m.q(op2.READ, f.edge2cell, 0),
+                    m.q(op2.READ, f.edge2cell, 1),
+                    m.grad(op2.INC, f.edge2cell, 0),
+                    m.grad(op2.INC, f.edge2cell, 1),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_ADT,
+                    f.cells,
+                    f.x(op2.READ, f.cell2node, 0),
+                    f.x(op2.READ, f.cell2node, 1),
+                    f.x(op2.READ, f.cell2node, 2),
+                    f.x(op2.READ, f.cell2node, 3),
+                    m.q(op2.READ),
+                    m.adt(op2.WRITE),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_IFLUX,
+                    f.edges,
+                    f.x(op2.READ, f.edge2node, 0),
+                    f.x(op2.READ, f.edge2node, 1),
+                    m.q(op2.READ, f.edge2cell, 0),
+                    m.q(op2.READ, f.edge2cell, 1),
+                    m.adt(op2.READ, f.edge2cell, 0),
+                    m.adt(op2.READ, f.edge2cell, 1),
+                    m.res(op2.INC, f.edge2cell, 0),
+                    m.res(op2.INC, f.edge2cell, 1),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_VFLUX,
+                    f.edges,
+                    f.x(op2.READ, f.edge2node, 0),
+                    f.x(op2.READ, f.edge2node, 1),
+                    m.grad(op2.READ, f.edge2cell, 0),
+                    m.grad(op2.READ, f.edge2cell, 1),
+                    m.visc(op2.READ, f.edge2cell, 0),
+                    m.visc(op2.READ, f.edge2cell, 1),
+                    m.res(op2.INC, f.edge2cell, 0),
+                    m.res(op2.INC, f.edge2cell, 1),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_SRC,
+                    f.cells,
+                    m.q(op2.READ),
+                    m.visc(op2.READ),
+                    m.res(op2.INC),
+                    backend=be,
+                ),
+                op2.loop(
+                    K_RK,
+                    f.cells,
+                    m.qold(op2.READ),
+                    m.q(op2.WRITE),
+                    m.res(op2.RW),
+                    m.adt(op2.READ),
+                    self.alpha(op2.READ),
+                    self.rms(op2.INC),
+                    backend=be,
+                ),
+                # the multigrid correction cycle
+                op2.loop(K_MG_ZERO, m.coarse_cells, m.qc(op2.WRITE), m.resc(op2.WRITE), backend=be),
+                op2.loop(
+                    K_MG_RESTRICT,
+                    f.cells,
+                    m.q(op2.READ),
+                    m.res(op2.READ),
+                    m.qc(op2.INC, m.fine2coarse, 0),
+                    m.resc(op2.INC, m.fine2coarse, 0),
+                    backend=be,
+                ),
+                op2.loop(K_MG_SMOOTH, m.coarse_cells, m.qc(op2.RW), m.resc(op2.READ), backend=be),
+                op2.loop(
+                    K_MG_PROLONG,
+                    f.cells,
+                    m.qc(op2.READ, m.fine2coarse, 0),
+                    m.q(op2.RW),
+                    backend=be,
+                ),
+            )
+        return self._sites
 
     def iteration(self) -> None:
-        m = self.mesh
-        f = m.fine
-        be = self.backend
-        op2.par_loop(K_SAVE, f.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be)
-        op2.par_loop(K_VPREP, f.cells, m.q(op2.READ), m.visc(op2.WRITE), backend=be)
-        for stage, alpha in enumerate(RK_ALPHA):
-            self.alpha.data[0] = alpha
-            op2.par_loop(K_GRAD_ZERO, f.cells, m.grad(op2.WRITE), backend=be)
-            op2.par_loop(
-                K_GRAD,
-                f.edges,
-                f.x(op2.READ, f.edge2node, 0),
-                f.x(op2.READ, f.edge2node, 1),
-                m.q(op2.READ, f.edge2cell, 0),
-                m.q(op2.READ, f.edge2cell, 1),
-                m.grad(op2.INC, f.edge2cell, 0),
-                m.grad(op2.INC, f.edge2cell, 1),
-                backend=be,
-            )
-            op2.par_loop(
-                K_ADT,
-                f.cells,
-                f.x(op2.READ, f.cell2node, 0),
-                f.x(op2.READ, f.cell2node, 1),
-                f.x(op2.READ, f.cell2node, 2),
-                f.x(op2.READ, f.cell2node, 3),
-                m.q(op2.READ),
-                m.adt(op2.WRITE),
-                backend=be,
-            )
-            op2.par_loop(
-                K_IFLUX,
-                f.edges,
-                f.x(op2.READ, f.edge2node, 0),
-                f.x(op2.READ, f.edge2node, 1),
-                m.q(op2.READ, f.edge2cell, 0),
-                m.q(op2.READ, f.edge2cell, 1),
-                m.adt(op2.READ, f.edge2cell, 0),
-                m.adt(op2.READ, f.edge2cell, 1),
-                m.res(op2.INC, f.edge2cell, 0),
-                m.res(op2.INC, f.edge2cell, 1),
-                backend=be,
-            )
-            op2.par_loop(
-                K_VFLUX,
-                f.edges,
-                f.x(op2.READ, f.edge2node, 0),
-                f.x(op2.READ, f.edge2node, 1),
-                m.grad(op2.READ, f.edge2cell, 0),
-                m.grad(op2.READ, f.edge2cell, 1),
-                m.visc(op2.READ, f.edge2cell, 0),
-                m.visc(op2.READ, f.edge2cell, 1),
-                m.res(op2.INC, f.edge2cell, 0),
-                m.res(op2.INC, f.edge2cell, 1),
-                backend=be,
-            )
-            op2.par_loop(
-                K_SRC,
-                f.cells,
-                m.q(op2.READ),
-                m.visc(op2.READ),
-                m.res(op2.INC),
-                backend=be,
-            )
+        """One time step: five Runge-Kutta stages, then a multigrid cycle."""
+        self._iterate(self.iteration_loops(), self.rms, self.alpha)
+
+    def _iterate(self, loops: tuple, rms: op2.Global, alpha: op2.Global) -> None:
+        """One time step of ``loops``, serial sites or rank handles; ``rms``
+        and ``alpha`` are the globals they read and reduce into."""
+        (save, vprep, grad_zero, grad, adt, iflux, vflux, src, rk,
+         mg_zero, mg_restrict, mg_smooth, mg_prolong) = loops
+        save()
+        vprep()
+        for stage, a in enumerate(RK_ALPHA):
+            alpha.data[0] = a
+            grad_zero()
+            grad()
+            adt()
+            iflux()
+            vflux()
+            src()
             if stage == len(RK_ALPHA) - 1:
-                self.rms.data[:] = 0.0
-            op2.par_loop(
-                K_RK,
-                f.cells,
-                m.qold(op2.READ),
-                m.q(op2.WRITE),
-                m.res(op2.RW),
-                m.adt(op2.READ),
-                self.alpha(op2.READ),
-                self.rms(op2.INC),
-                backend=be,
-            )
-        # multigrid correction cycle
-        op2.par_loop(K_MG_ZERO, m.coarse_cells, m.qc(op2.WRITE), m.resc(op2.WRITE), backend=be)
-        op2.par_loop(
-            K_MG_RESTRICT,
-            f.cells,
-            m.q(op2.READ),
-            m.res(op2.READ),
-            m.qc(op2.INC, m.fine2coarse, 0),
-            m.resc(op2.INC, m.fine2coarse, 0),
-            backend=be,
-        )
-        op2.par_loop(K_MG_SMOOTH, m.coarse_cells, m.qc(op2.RW), m.resc(op2.READ), backend=be)
-        op2.par_loop(
-            K_MG_PROLONG,
-            f.cells,
-            m.qc(op2.READ, m.fine2coarse, 0),
-            m.q(op2.RW),
-            backend=be,
-        )
+                rms.data[:] = 0.0
+            rk()
+        mg_zero()
+        mg_restrict()
+        mg_smooth()
+        mg_prolong()
 
     def run(self, iterations: int) -> float:
         for _ in range(iterations):
@@ -181,112 +212,11 @@ class HydraApp:
         )
 
     def run_distributed(self, comm: SimComm, pm, iterations: int) -> float:
-        m = self.mesh
-        f = m.fine
+        """SPMD body: run the loop chain on one rank of a partitioned mesh."""
         rm = pm.local(comm.rank)
-        be = self.backend
-        lrms = rm.local_global(self.rms)
-        lalpha = rm.local_global(self.alpha)
+        loops = rm.loops(comm, self.iteration_loops())
+        rms = rm.local_global(self.rms)
+        alpha = rm.local_global(self.alpha)
         for _ in range(iterations):
-            rm.par_loop(comm, K_SAVE, f.cells, m.q(op2.READ), m.qold(op2.WRITE), backend=be)
-            rm.par_loop(comm, K_VPREP, f.cells, m.q(op2.READ), m.visc(op2.WRITE), backend=be)
-            for stage, alpha in enumerate(RK_ALPHA):
-                lalpha.data[0] = alpha
-                rm.par_loop(comm, K_GRAD_ZERO, f.cells, m.grad(op2.WRITE), backend=be)
-                rm.par_loop(
-                    comm,
-                    K_GRAD,
-                    f.edges,
-                    f.x(op2.READ, f.edge2node, 0),
-                    f.x(op2.READ, f.edge2node, 1),
-                    m.q(op2.READ, f.edge2cell, 0),
-                    m.q(op2.READ, f.edge2cell, 1),
-                    m.grad(op2.INC, f.edge2cell, 0),
-                    m.grad(op2.INC, f.edge2cell, 1),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm,
-                    K_ADT,
-                    f.cells,
-                    f.x(op2.READ, f.cell2node, 0),
-                    f.x(op2.READ, f.cell2node, 1),
-                    f.x(op2.READ, f.cell2node, 2),
-                    f.x(op2.READ, f.cell2node, 3),
-                    m.q(op2.READ),
-                    m.adt(op2.WRITE),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm,
-                    K_IFLUX,
-                    f.edges,
-                    f.x(op2.READ, f.edge2node, 0),
-                    f.x(op2.READ, f.edge2node, 1),
-                    m.q(op2.READ, f.edge2cell, 0),
-                    m.q(op2.READ, f.edge2cell, 1),
-                    m.adt(op2.READ, f.edge2cell, 0),
-                    m.adt(op2.READ, f.edge2cell, 1),
-                    m.res(op2.INC, f.edge2cell, 0),
-                    m.res(op2.INC, f.edge2cell, 1),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm,
-                    K_VFLUX,
-                    f.edges,
-                    f.x(op2.READ, f.edge2node, 0),
-                    f.x(op2.READ, f.edge2node, 1),
-                    m.grad(op2.READ, f.edge2cell, 0),
-                    m.grad(op2.READ, f.edge2cell, 1),
-                    m.visc(op2.READ, f.edge2cell, 0),
-                    m.visc(op2.READ, f.edge2cell, 1),
-                    m.res(op2.INC, f.edge2cell, 0),
-                    m.res(op2.INC, f.edge2cell, 1),
-                    backend=be,
-                )
-                rm.par_loop(
-                    comm, K_SRC, f.cells,
-                    m.q(op2.READ), m.visc(op2.READ), m.res(op2.INC), backend=be,
-                )
-                if stage == len(RK_ALPHA) - 1:
-                    lrms.data[:] = 0.0
-                rm.par_loop(
-                    comm,
-                    K_RK,
-                    f.cells,
-                    m.qold(op2.READ),
-                    m.q(op2.WRITE),
-                    m.res(op2.RW),
-                    m.adt(op2.READ),
-                    lalpha(op2.READ),
-                    lrms(op2.INC),
-                    backend=be,
-                )
-            rm.par_loop(
-                comm, K_MG_ZERO, m.coarse_cells,
-                m.qc(op2.WRITE), m.resc(op2.WRITE), backend=be,
-            )
-            rm.par_loop(
-                comm,
-                K_MG_RESTRICT,
-                f.cells,
-                m.q(op2.READ),
-                m.res(op2.READ),
-                m.qc(op2.INC, m.fine2coarse, 0),
-                m.resc(op2.INC, m.fine2coarse, 0),
-                backend=be,
-            )
-            rm.par_loop(
-                comm, K_MG_SMOOTH, m.coarse_cells,
-                m.qc(op2.RW), m.resc(op2.READ), backend=be,
-            )
-            rm.par_loop(
-                comm,
-                K_MG_PROLONG,
-                f.cells,
-                m.qc(op2.READ, m.fine2coarse, 0),
-                m.q(op2.RW),
-                backend=be,
-            )
-        return float(np.sqrt(lrms.value / self.mesh.fine.cells.size))
+            self._iterate(loops, rms, alpha)
+        return float(np.sqrt(rms.value / self.mesh.fine.cells.size))

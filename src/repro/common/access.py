@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.common.errors import AccessDeclarationError
 
 
@@ -80,6 +82,23 @@ def validate_argument_access(
             "Global/Reduction arguments",
             dat=dat, access=access.name, loop=loop, arg_index=arg_index,
         )
+
+
+def fold_extreme(ufunc, running, values):
+    """``ufunc`` (``np.minimum``/``np.maximum``) folded over the rows of
+    ``values`` in order, from ``running``: a MIN/MAX reduction's result.
+
+    The bits are the serial fold's, which the native tier's C select also
+    gives (the first NaN met is kept, a tie goes to the later operand).
+    ``ufunc.reduce`` orders its SIMD lanes its own way, which only shows
+    when the result is ±0 or a NaN — every other value has one bit pattern
+    — so only then are the rows refolded in order with ``ufunc.accumulate``.
+    """
+    part = ufunc.reduce(values, axis=0)
+    if np.any((part == 0) | (part != part)):
+        first = np.reshape(running, (1, *np.shape(part)))
+        return ufunc.accumulate(np.concatenate((first, values)), axis=0)[-1]
+    return ufunc(running, part)
 
 
 # OP2/OPS-style module-level aliases, so application code reads like the paper.

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common.access import Access
+from repro.common.access import Access, fold_extreme
 from repro.op2.args import Arg
 from repro.op2.kernel import Kernel
 
@@ -53,9 +53,9 @@ def _scatter(arg: Arg, buf: np.ndarray, idx: IndexLike) -> None:
         if arg.access is Access.INC:
             g.accumulate(buf)
         elif arg.access is Access.MIN:
-            g.data[:] = np.minimum(g.data, buf.min(axis=0))
+            g.data[:] = fold_extreme(np.minimum, g.data, buf)
         elif arg.access is Access.MAX:
-            g.data[:] = np.maximum(g.data, buf.max(axis=0))
+            g.data[:] = fold_extreme(np.maximum, g.data, buf)
         return
 
     if not arg.access.writes:

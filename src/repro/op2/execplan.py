@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common import site as _site
-from repro.common.access import Access
+from repro.common.access import Access, fold_extreme
 from repro.common.counters import PerfCounters
 from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.op2 import parloop as _parloop  # a cycle: both only read attributes at call time
@@ -137,11 +137,9 @@ class _SubsetExec:
             elif mode == _S_GLOBAL_INC:
                 op[1].accumulate(buf)
             elif mode == _S_GLOBAL_MIN:
-                g = op[1]
-                g.data[:] = np.minimum(g.data, buf.min(axis=0))
+                op[1].data[:] = fold_extreme(np.minimum, op[1].data, buf)
             else:  # _S_GLOBAL_MAX
-                g = op[1]
-                g.data[:] = np.maximum(g.data, buf.max(axis=0))
+                op[1].data[:] = fold_extreme(np.maximum, op[1].data, buf)
 
 
 #: a scatter where one target receives more than this many contributions

@@ -16,6 +16,10 @@ Execution follows owner-compute:
   back and summed on the owner (reverse exchange),
 * global reductions are combined with a deterministic allreduce.
 
+A loop site binds once per rank, :meth:`RankMesh.loop` (a :class:`RankLoop`),
+so a replay only checks halos, exchanges and reduces.  :meth:`RankMesh.loops`
+binds an app's serial ``op2.loop`` sites this way; ``par_loop`` is the one-shot form.
+
 Simplification vs. real OP2: there is a single halo class (no separate
 exec/nonexec levels) and indirect OP_WRITE/OP_RW across partition
 boundaries is unsupported — the proxy applications, like most OP2 codes,
@@ -34,7 +38,7 @@ from repro.op2.args import Arg
 from repro.op2.dat import Dat, Global
 from repro.op2.kernel import Kernel
 from repro.op2.map import Map
-from repro.op2.parloop import par_loop
+from repro.op2.parloop import loop
 from repro.op2.partition import derive_partition, derive_source_partition
 from repro.op2.set import Set
 from repro.simmpi.comm import SimComm
@@ -66,7 +70,7 @@ class RankMesh:
     """One rank's view of the partitioned mesh.
 
     Translates global Set/Map/Dat/Global handles into their local
-    counterparts; :meth:`par_loop` accepts loop arguments built from the
+    counterparts; :meth:`loop` accepts loop arguments built from the
     *global* objects so application code is identical to the serial path.
     """
 
@@ -77,6 +81,7 @@ class RankMesh:
         self.maps: dict[int, Map] = {}
         self.dats: dict[int, Dat] = {}
         self.globals: dict[int, Global] = {}
+        self._chain: tuple | None = None  # (sites, comm, handles) of the last loops()
 
     # -- handle translation ----------------------------------------------------
 
@@ -155,63 +160,25 @@ class RankMesh:
 
     # -- distributed loop -----------------------------------------------------------
 
-    def par_loop(
-        self,
-        comm: SimComm,
-        kernel: Kernel,
-        giterset: Set,
-        *gargs: Arg,
-        backend: str = "vec",
-    ) -> None:
+    def loop(self, comm: SimComm, kernel: Kernel, giterset: Set, *gargs: Arg,
+             backend: str = "vec") -> "RankLoop":
+        """Bind one distributed loop site on this rank."""
+        return RankLoop(self, comm, kernel, giterset, *gargs, backend=backend)
+
+    def loops(self, comm: SimComm, sites: tuple) -> tuple:
+        """Rank handles of serial ``op2.loop`` ``sites``, kept while both
+        ``sites`` and ``comm`` stay the same."""
+        chain = self._chain
+        if chain is None or chain[0] is not sites or chain[1] is not comm:
+            handles = tuple(self.loop(comm, s.kernel, s.iterset, *s.args, backend=s.backend)
+                            for s in sites)
+            chain = self._chain = (sites, comm, handles)
+        return chain[2]
+
+    def par_loop(self, comm: SimComm, kernel: Kernel, giterset: Set, *gargs: Arg,
+                 backend: str = "vec") -> None:
         """Execute one distributed parallel loop (SPMD collective call)."""
-        largs = [self._translate(a) for a in gargs]
-        layout = self._layout_of(giterset)
-
-        inc_dats: list[Dat] = []
-        gbl_start: dict[int, np.ndarray] = {}
-        for garg, larg in zip(gargs, largs):
-            if larg.is_global:
-                if larg.access.is_reduction:
-                    gbl_start[id(larg.glob)] = larg.glob.data.copy()
-                continue
-            if larg.is_indirect:
-                if larg.access in (Access.READ, Access.RW):
-                    if larg.dat.halo_dirty:
-                        self.halo_exchange(comm, garg.dat)
-                elif larg.access is Access.INC:
-                    if not any(d is garg.dat for d in inc_dats):
-                        # stale halo copies must not receive old contributions
-                        larg.dat.data[layout_halo_slice(self._layout_of(garg.dat.set))] = 0
-                        inc_dats.append(garg.dat)
-                else:
-                    raise APIError(
-                        "indirect OP_WRITE/OP_RW across partitions is unsupported; "
-                        "use OP_INC (see module docstring)"
-                    )
-
-        par_loop(
-            kernel,
-            self.local_set(giterset),
-            *largs,
-            backend=backend,
-            n_elements=layout.n_owned,
-        )
-
-        for gdat in inc_dats:
-            self.reverse_halo_exchange(comm, gdat)
-
-        for larg in largs:
-            if larg.is_global and larg.access.is_reduction:
-                g = larg.glob
-                start = gbl_start[id(g)]
-                if larg.access is Access.INC:
-                    delta = g.data - start
-                    total = start + comm.allreduce(delta, op="sum")
-                elif larg.access is Access.MIN:
-                    total = comm.allreduce(g.data, op="min")
-                else:
-                    total = comm.allreduce(g.data, op="max")
-                g.data[:] = total
+        self.loop(comm, kernel, giterset, *gargs, backend=backend)()
 
     # -- gather for validation ---------------------------------------------------------
 
@@ -235,6 +202,71 @@ class RankMesh:
 def layout_halo_slice(layout: _SetLayout) -> slice:
     """The halo region of a local dat (everything after the owned block)."""
     return slice(layout.n_owned, layout.n_owned + layout.halo_ids.shape[0])
+
+
+class RankLoop:
+    """One distributed loop site on one rank, bound once.
+
+    Binding translates the arguments to local handles, binds a local
+    ``op2.loop`` over the owned elements and sorts the arguments (an
+    indirect WRITE/RW raises here).  A call refreshes dirty halos of
+    indirect reads and zeroes INC halo copies, runs the loop, pushes the
+    INC halos back and combines the reductions — ``par_loop``'s order.
+    """
+
+    __slots__ = ("rm", "comm", "site", "prelude", "inc_dats", "reductions")
+
+    def __init__(self, rm: RankMesh, comm: SimComm, kernel: Kernel, giterset: Set,
+                 *gargs: Arg, backend: str = "vec"):
+        largs = [rm._translate(a) for a in gargs]
+        self.prelude = []  # (global dat, local dat, INC halo slice or None: a read)
+        self.inc_dats = []
+        self.reductions = []  # (local global, allreduce op)
+        for garg, larg in zip(gargs, largs):
+            if larg.is_global:
+                # a global passed twice is still combined once
+                if larg.access.is_reduction and not any(
+                    g is larg.glob for g, _ in self.reductions
+                ):
+                    op = "sum" if larg.access is Access.INC else larg.access.value
+                    self.reductions.append((larg.glob, op))
+            elif not larg.is_indirect:
+                continue
+            elif larg.access in (Access.READ, Access.RW):
+                # a second read of a dat would find its halos clean
+                if not any(h is None and d is garg.dat for d, _, h in self.prelude):
+                    self.prelude.append((garg.dat, larg.dat, None))
+            elif larg.access is Access.INC:
+                if not any(d is garg.dat for d in self.inc_dats):
+                    # stale halo copies must not receive old contributions
+                    halo = layout_halo_slice(rm._layout_of(garg.dat.set))
+                    self.prelude.append((garg.dat, larg.dat, halo))
+                    self.inc_dats.append(garg.dat)
+            else:
+                raise APIError(
+                    "indirect OP_WRITE/OP_RW across partitions is unsupported; "
+                    "use OP_INC (see module docstring)"
+                )
+        self.rm, self.comm = rm, comm
+        self.site = loop(kernel, rm.local_set(giterset), *largs, backend=backend,
+                         n_elements=rm._layout_of(giterset).n_owned)
+
+    def __call__(self) -> None:
+        rm, comm = self.rm, self.comm
+        for gdat, ldat, halo in self.prelude:
+            if halo is not None:
+                ldat.data[halo] = 0
+            elif ldat.halo_dirty:
+                rm.halo_exchange(comm, gdat)
+        starts = [g.data.copy() if op == "sum" else None for g, op in self.reductions]
+        self.site()
+        for gdat in self.inc_dats:
+            rm.reverse_halo_exchange(comm, gdat)
+        for (g, op), start in zip(self.reductions, starts):
+            if start is None:
+                g.data[:] = comm.allreduce(g.data, op=op)
+            else:
+                g.data[:] = start + comm.allreduce(g.data - start, op="sum")
 
 
 class PartitionedMesh:

@@ -4,10 +4,11 @@ OPS performs "partitioning across processes and ... standard halo
 exchanges, exchanging halo messages on-demand based on the type of access
 and the stencils" (paper Section II-B).  A :class:`DecomposedBlock` splits
 a block's index space over a cartesian process grid; each rank holds local
-dats covering its subdomain plus ghost layers, and
-:meth:`LocalBlock.par_loop` intersects global loop ranges with the owned
-subdomain, exchanging face halos on demand (dimension-by-dimension, so
-corner points are filled transitively).
+dats covering its subdomain plus ghost layers.  :meth:`LocalBlock.loop`
+binds a loop site on a rank once (a :class:`RankLoop`): it intersects global
+loop ranges with the owned subdomain, and its calls exchange face halos on
+demand (dimension-by-dimension, so corner points are filled transitively).
+:meth:`LocalBlock.par_loop` is the one-shot form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.common.access import Access
 from repro.common.errors import APIError
 from repro.ops.block import Block
 from repro.ops.dat import Dat
-from repro.ops.parloop import DatArg, LoopArg, par_loop
+from repro.ops.parloop import DatArg, LoopArg, loop
 from repro.ops.reduction import Reduction
 from repro.simmpi.cart import CartComm, dims_create
 from repro.simmpi.comm import SimComm
@@ -160,54 +161,19 @@ class LocalBlock:
             out.append((lo - olo, hi - olo))
         return out
 
-    def par_loop(
-        self,
-        comm: SimComm,
-        kernel,
-        global_ranges,
-        *args: LoopArg,
-        backend: str = "vec",
-        name: str | None = None,
-        flops_per_point: int = 0,
-    ) -> None:
+    def loop(self, comm: SimComm, kernel, global_ranges, *args: LoopArg, backend: str = "vec",
+             name: str | None = None, flops_per_point: int = 0) -> "RankLoop":
+        """Bind one distributed OPS loop site on this rank."""
+        return RankLoop(self, comm, kernel, global_ranges, *args, backend=backend, name=name,
+                        flops_per_point=flops_per_point)
+
+    def par_loop(self, comm: SimComm, kernel, global_ranges, *args: LoopArg, **kwargs) -> None:
         """Execute one distributed OPS loop (SPMD collective call).
 
         Arguments reference the *global* dats; reductions are combined
-        across ranks afterwards.
+        across ranks afterwards.  Keywords are :meth:`loop`'s.
         """
-        granges = [tuple(int(c) for c in r) for r in global_ranges]
-        largs: list[LoopArg] = []
-        red_start: dict[int, float] = {}
-        for arg in args:
-            if isinstance(arg, Reduction):
-                red_start[id(arg)] = arg.value
-                largs.append(arg)
-                continue
-            ldat = self.local_dat(arg.dat)
-            if arg.access in (Access.READ, Access.RW) and arg.stencil.max_depth > 0:
-                if ldat.halo_dirty:
-                    self.halo_exchange(comm, arg.dat, depth=arg.stencil.max_depth)
-            largs.append(DatArg(dat=ldat, access=arg.access, stencil=arg.stencil))
-
-        local_ranges = self._local_ranges(granges)
-        if local_ranges is not None:
-            par_loop(
-                kernel,
-                self.block,
-                local_ranges,
-                *largs,
-                backend=backend,
-                name=name,
-                flops_per_point=flops_per_point,
-            )
-
-        for arg in args:
-            if isinstance(arg, Reduction):
-                if arg.kind == "inc":
-                    delta = arg.value - red_start[id(arg)]
-                    arg.value = red_start[id(arg)] + comm.allreduce(delta, op="sum")
-                else:
-                    arg.combine_across(comm)
+        self.loop(comm, kernel, global_ranges, *args, **kwargs)()
 
     def gather(self, comm: SimComm, gdat: Dat) -> np.ndarray | None:
         """Collect the dat's interior onto every rank in global layout."""
@@ -221,6 +187,55 @@ class LocalBlock:
                 idx = tuple(slice(o, o + s) for o, s in zip(offset, size))
                 out[idx] = values
         return comm.bcast(out, root=0)
+
+
+class RankLoop:
+    """One distributed OPS loop site on one rank, bound once.
+
+    Binding intersects the ranges with the rank's responsibility, binds a
+    local ``ops.loop`` on local dats and lists the stencil-read dats.  A
+    call exchanges their dirty halos, runs the loop and combines the
+    reductions — a rank with no points runs nothing but still joins them.
+    Reductions are slots, as in ``ops.loop``: ``site(r1, ...)``.
+    """
+
+    __slots__ = ("lb", "comm", "site", "has_points", "exchanges")
+
+    def __init__(self, lb: LocalBlock, comm: SimComm, kernel, global_ranges, *args: LoopArg,
+                 backend: str = "vec", name: str | None = None, flops_per_point: int = 0):
+        local_ranges = lb._local_ranges([tuple(int(c) for c in r) for r in global_ranges])
+        largs: list[LoopArg] = []
+        self.exchanges = []  # (global dat, local dat, depth)
+        for arg in args:
+            if isinstance(arg, Reduction):
+                largs.append(arg)
+                continue
+            ldat = lb.local_dat(arg.dat)
+            if arg.access in (Access.READ, Access.RW) and arg.stencil.max_depth > 0:
+                # a second read of a dat would find its halos clean
+                if not any(d is ldat for _, d, _ in self.exchanges):
+                    self.exchanges.append((arg.dat, ldat, arg.stencil.max_depth))
+            largs.append(DatArg(dat=ldat, access=arg.access, stencil=arg.stencil))
+        self.lb, self.comm = lb, comm
+        self.has_points = local_ranges is not None
+        self.site = loop(kernel, lb.block, local_ranges or [(0, 0)] * lb.block.ndim, *largs,
+                         backend=backend, name=name, flops_per_point=flops_per_point)
+
+    def __call__(self, *reductions: Reduction) -> None:
+        site, lb, comm = self.site, self.lb, self.comm
+        args = site._bind(reductions) if reductions else site.args
+        for gdat, ldat, depth in self.exchanges:
+            if ldat.halo_dirty:
+                lb.halo_exchange(comm, gdat, depth=depth)
+        reds = list({id(args[i]): args[i] for i in site.slots}.values())  # each once
+        starts = [r.value for r in reds]
+        if self.has_points:
+            site(*reductions)
+        for red, start in zip(reds, starts):
+            if red.kind == "inc":
+                red.value = start + comm.allreduce(red.value - start, op="sum")
+            else:
+                red.combine_across(comm)
 
 
 class DecomposedBlock:

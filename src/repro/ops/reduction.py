@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.access import Access
+from repro.common.access import Access, fold_extreme
 from repro.common.errors import APIError
 from repro.ops import lazy as _lazy
 
@@ -64,19 +64,19 @@ class Reduction:
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'inc'")
         self.value += float(np.sum(v))
 
-    # min/max fold like np.minimum/np.maximum (the native tier's C select):
-    # the first NaN met is kept, and a tie goes to the later operand — the
-    # builtins would drop a NaN (``min(inf, nan)`` is ``inf``)
+    # min/max fold like np.minimum/np.maximum over the points in order (the
+    # native tier's C select): the first NaN met is kept, and a tie goes to
+    # the later operand — the builtins would drop a NaN (``min(inf, nan)``)
 
     def min(self, v) -> None:
         if self.kind != "min":
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'min'")
-        self.value = float(np.minimum(self.value, np.min(v)))
+        self.value = float(fold_extreme(np.minimum, self.value, np.ravel(v)))
 
     def max(self, v) -> None:
         if self.kind != "max":
             raise APIError(f"reduction {self.name} is {self.kind!r}, not 'max'")
-        self.value = float(np.maximum(self.value, np.max(v)))
+        self.value = float(fold_extreme(np.maximum, self.value, np.ravel(v)))
 
     # -- runtime-facing -----------------------------------------------------------
 

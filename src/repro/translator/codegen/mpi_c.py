@@ -12,8 +12,9 @@ showing exactly that derivation:
 * global reductions → the matching ``MPI_Allreduce`` op,
 * written dats → dirty-flag updates.
 
-The executable counterpart is :class:`repro.op2.halo.RankMesh.par_loop`;
-the tests assert both make the same decisions.
+The executable counterpart is the rank-local loop handle
+:class:`repro.op2.halo.RankLoop`, which takes these decisions once at
+binding; the tests assert both make the same decisions.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from repro.apps.airfoil.app import AirfoilApp
 from repro.apps.airfoil.mesh import generate_mesh
 from repro.apps.cloverleaf import CloverLeafApp, clover_bm_state
 from repro.apps.cloverleaf.app import DistributedCloverLeafApp
+from repro.apps.hydra import HydraApp, generate_hydra_mesh
 from repro.apps.multiblock.app import MultiBlockDiffusion
 from repro.ops.decomp import DecomposedBlock
 from repro.simmpi import run_spmd
@@ -219,6 +220,29 @@ class TestRankCounts:
 
         report = diff_backends(
             run, ["serial", "1", "2", "3"],
+            reference="serial", tol=REASSOC, trace=False,
+        )
+        report.assert_agree()
+
+    def test_hydra_rank_counts_agree(self):
+        def run(label):
+            mesh = generate_hydra_mesh(8, 6, jitter=0.1)
+            app = HydraApp(mesh)
+            if label == "serial":
+                rms = app.run(2)
+                return {"q": mesh.q.data, "rms": np.asarray([rms])}
+            nranks = int(label)
+            pm = app.build_partitioned(nranks, "rcb")
+
+            def main(comm):
+                rms = app.run_distributed(comm, pm, 2)
+                return rms, pm.local(comm.rank).gather_dat(comm, mesh.q)
+
+            rms, q = run_spmd(nranks, main)[0]
+            return {"q": q, "rms": np.asarray([rms])}
+
+        report = diff_backends(
+            run, ["serial", "1", "2", "4"],
             reference="serial", tol=REASSOC, trace=False,
         )
         report.assert_agree()

@@ -99,9 +99,10 @@ class TestBundledAppsClean:
         apply_baseline(result, load_baseline(REPO_BASELINE))
         active = result.active(Severity.WARNING)
         assert active == [], "\n".join(d.format() for d in active)
-        # the analyser actually saw the apps (not a silent no-op)
-        assert result.n_sites >= 60
-        assert result.n_kernels >= 60
+        # the analyser actually saw the apps (not a silent no-op); each
+        # app declares its loop chain once, serial and distributed alike
+        assert result.n_sites >= 50
+        assert result.n_kernels >= 50
         assert result.n_chains >= 8
 
     def test_no_stale_baseline_entries(self):

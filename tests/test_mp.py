@@ -257,6 +257,24 @@ class TestDiffBattery:
 
         _mp_vs_inproc(run).assert_agree()
 
+    @pytest.mark.parametrize("nranks", [1, 4])
+    def test_hydra(self, nranks):
+        from repro.apps.hydra import HydraApp, generate_hydra_mesh
+
+        def run(spmd):
+            mesh = generate_hydra_mesh(8, 6, jitter=0.1)
+            app = HydraApp(mesh)
+            pm = app.build_partitioned(nranks, "rcb")
+
+            def main(comm):
+                rms = app.run_distributed(comm, pm, 2)
+                return rms, pm.local(comm.rank).gather_dat(comm, mesh.q)
+
+            rms, q = spmd(nranks, main)[0]
+            return {"q": q, "rms": np.asarray([rms])}
+
+        _mp_vs_inproc(run).assert_agree()
+
     @requires_cc
     def test_airfoil_native_vs_vec_inside_workers(self):
         """`update` stages its global INC in each forked worker; the rms the

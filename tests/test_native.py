@@ -1249,9 +1249,8 @@ class TestFoldOrder:
     """Min/max reductions fold a 256-point row chunk at a time: NaNs,
     ±0 ties and ±inf planted at chunk edges and team cuts come out with
     the serial fold's bits at every team size, in 1-, 2- and 3-D loops and
-    on lazy tiles.  NumPy's ``np.min`` is not a serial fold (its SIMD
-    reduce orders lanes its own way), so against vec the values must be
-    equal, and against the serial fold the bits."""
+    on lazy tiles.  The vec tier refolds a ±0 or NaN result in point order
+    (``common.access.fold_extreme``), so it carries the same bits."""
 
     @requires_cc
     @pytest.mark.parametrize("case", ["zero_ties", "nans", "infs"])
@@ -1274,9 +1273,7 @@ class TestFoldOrder:
                 _assert_bitwise(got, want)
             clear_plan_caches()
             with swap(native=False):
-                vec = _run_fold(kernel, shape, case)
-            np.testing.assert_array_equal(states[0]["lo"], vec["lo"])
-            np.testing.assert_array_equal(states[0]["hi"], vec["hi"])
+                _assert_bitwise(_run_fold(kernel, shape, case), want)
 
     @requires_cc
     @pytest.mark.parametrize("case", ["zero_ties", "nans", "infs"])
@@ -1304,9 +1301,37 @@ class TestFoldOrder:
             _assert_bitwise(got, want)
         clear_plan_caches()
         with swap(native=False):
-            vec = _run_fold(_fold2, shape, case)
-        np.testing.assert_array_equal(states[0]["lo"], vec["lo"])
-        np.testing.assert_array_equal(states[0]["hi"], vec["hi"])
+            _assert_bitwise(_run_fold(_fold2, shape, case, tile), want)
+
+    @requires_cc
+    @pytest.mark.parametrize("case", ["zero_ties", "nans"])
+    def test_op2_global_min(self, threads_everywhere, case):
+        """A one-column op2 ``Global`` MIN, planted at the ends and team
+        cuts: native at every team and vec's scatter give the serial bits."""
+        from repro import op2
+
+        def fold_min(x, g):
+            g[0] = min(g[0], x[0])
+
+        kernel = op2.Kernel(fold_min)
+        field = _fold_field((600,), case)
+        want = {"g": np.asarray([_serial_fold(field, "min")])}
+
+        def run():
+            cells = op2.Set(field.size, "cells")
+            x = op2.Dat(cells, 1, field, name="x")
+            g = op2.Global(1, np.inf, name="g")
+            op2.par_loop(kernel, cells, x(op2.READ), g(op2.MIN))
+            return {"g": g.data.copy()}
+
+        states, counters = _at_teams(threads_everywhere, run, (1, 2, 3))
+        for team, (got, c) in enumerate(zip(states, counters), 1):
+            assert c.native_calls == 1 and c.native_declines == {}
+            assert c.native_threaded_calls == int(team > 1)
+            _assert_bitwise(got, want)
+        clear_plan_caches()
+        with swap(native=False):
+            _assert_bitwise(run(), want)
 
 
 class TestReductionFold:
